@@ -20,27 +20,6 @@ var engineContextPackages = []string{
 	"testdata/codelint/g003",
 }
 
-// docCommentPackages are the packages whose exported symbols must
-// carry leading-name godoc comments (G006): the engine and serving
-// packages whose APIs the README, DESIGN.md, and godoc render. The
-// testdata entry keeps the rule's golden fixture honest.
-var docCommentPackages = []string{
-	"internal/fsim",
-	"internal/atpg",
-	"internal/tpi",
-	"internal/implic",
-	"internal/fault",
-	"internal/netlist",
-	"internal/serve",
-	"internal/perf",
-	"testdata/codelint/g006",
-}
-
-// isDocCommentPackage reports whether G006 applies to the package.
-func isDocCommentPackage(path string) bool {
-	return pathMatchesAny(path, docCommentPackages)
-}
-
 // deterministicExtraPackages extends G004's deterministic-engine set
 // (every package under internal/) with paths outside internal/ that
 // must obey the same purity contract.
@@ -378,21 +357,21 @@ func allowedImpurity(pkgPath, symbol string) bool {
 	return false
 }
 
-// resourceOwnerAllowlist vets functions whose resource acquisitions
-// (G014) are ownership transfers the positional scan cannot see —
-// constructors that hand the resource to a long-lived owner, pools
-// that release on their own schedule. Entries suppress every G014
-// finding in the named function, so each one must say who the real
-// owner is.
+// resourceOwnerAllowlist vets functions whose client response
+// acquisitions (G016's body check) are ownership transfers the
+// positional scan cannot see — constructors that hand the response to
+// a long-lived owner that closes it on its own schedule. Entries
+// suppress every body finding in the named function, so each one must
+// say who the real owner is.
 var resourceOwnerAllowlist = []struct {
 	pkg, fn, why string
 }{
-	{"testdata/codelint/g014", "Vetted",
+	{"testdata/codelint/g016", "Vetted",
 		"fixture: proves the allowlist silences a listed function while its neighbors still fire"},
 }
 
-// isResourceOwner reports whether the function's acquisitions are
-// vetted ownership transfers for G014/G016.
+// isResourceOwner reports whether the function's response acquisitions
+// are vetted ownership transfers for G016.
 func isResourceOwner(pkgPath, fn string) bool {
 	for _, e := range resourceOwnerAllowlist {
 		if e.fn == fn && pathMatchesAny(pkgPath, []string{e.pkg}) {

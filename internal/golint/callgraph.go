@@ -10,14 +10,15 @@ import (
 )
 
 // This file is the whole-module half of the framework: where the G001–
-// G006 analyzers judge one file at a time, the concurrency and
-// allocation rules (G007–G010) need to know what a function *reaches* —
-// an allocation is only a hot-path bug if the function holding it is
-// called from a measured loop, possibly through several layers of
-// helpers. ModuleFacts builds that view once per Run: an intra-module
-// static call graph with a per-function summary (allocation sites,
-// callees with loop context, goroutine spawns, lock use, captured-
-// variable writes) that every analyzer can query through Pass.Mod.
+// G004 analyzers judge one file at a time, the allocation rule (G007)
+// and the dataflow rules after it need to know what a function
+// *reaches* — an allocation is only a hot-path bug if the function
+// holding it is called from a measured loop, possibly through several
+// layers of helpers. ModuleFacts builds that view once per Run: an
+// intra-module static call graph with a per-function summary
+// (allocation sites, callees with loop context, field and global
+// dataflow, context polls, unbounded loops) that every analyzer can
+// query through Pass.Mod.
 
 // allocSite is one statically-identified allocation in a function body.
 type allocSite struct {
@@ -126,12 +127,6 @@ type funcFacts struct {
 	// body contains any loop at all (used for the compound test).
 	loops   []loopSite
 	hasLoop bool
-
-	// spawnsGoroutines / takesLocks / writesCaptured are the coarse
-	// flags the concurrency rules and future analyzers key on.
-	spawnsGoroutines bool
-	takesLocks       bool
-	writesCaptured   bool
 }
 
 // ModuleFacts is the whole-module analysis context shared by every
@@ -192,17 +187,12 @@ func (m *ModuleFacts) factsOf(fn *types.Func) *funcFacts { return m.funcs[fn] }
 
 // summarize fills ff by walking the function body once with an ancestor
 // stack, classifying allocation sites, resolving static callees, and
-// raising the concurrency flags.
+// recording the dataflow facts the whole-module rules query.
 func summarize(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts) {
 	info := pkg.Info
 	inspectWithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.GoStmt:
-			ff.spawnsGoroutines = true
 		case *ast.AssignStmt, *ast.IncDecStmt:
-			if innermostFuncLit(stack) != nil && writesEnclosingVar(info, n, stack) {
-				ff.writesCaptured = true
-			}
 			summarizeGlobalWrites(l, info, n, ff)
 		case *ast.ForStmt:
 			ff.hasLoop = true
@@ -248,8 +238,8 @@ func summarize(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts) {
 }
 
 // summarizeCall classifies one call expression: builtin allocators,
-// allocating conversions, known stdlib allocators, lock acquisition,
-// and statically-resolved module-internal callees.
+// allocating conversions, known stdlib allocators, environment reads,
+// context polls, and statically-resolved module-internal callees.
 func summarizeCall(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts, call *ast.CallExpr, stack []ast.Node) {
 	info := pkg.Info
 	// Builtins: make and new always allocate; append allocates when it
@@ -297,9 +287,6 @@ func summarizeCall(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts, cal
 		}
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") && isMutexType(info.TypeOf(sel.X)) {
-			ff.takesLocks = true
-		}
 		if sel.Sel.Name == "Err" && isContextType(info.TypeOf(sel.X)) {
 			ff.polls = append(ff.polls, call.Pos())
 		}

@@ -8,8 +8,7 @@ import (
 
 // This file holds the dataflow helpers shared by the concurrency and
 // allocation analyzers: ancestor-stack traversal, loop and cold-path
-// context, closure-capture resolution, and the syntactic lock-region
-// scan G009 and G010 both rest on.
+// context, and the syntactic lock-region scan G009 rests on.
 
 // inspectWithStack walks the AST under root calling fn with the current
 // ancestor stack (root's ancestors excluded; stack[len-1] is the direct
@@ -47,24 +46,6 @@ func inLoopAt(stack []ast.Node, pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// enclosingLoop returns the innermost for/range statement on the stack
-// whose body contains pos, or nil.
-func enclosingLoop(stack []ast.Node, pos token.Pos) ast.Stmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch s := stack[i].(type) {
-		case *ast.ForStmt:
-			if s.Body.Pos() <= pos && pos < s.Body.End() {
-				return s
-			}
-		case *ast.RangeStmt:
-			if s.Body.Pos() <= pos && pos < s.Body.End() {
-				return s
-			}
-		}
-	}
-	return nil
 }
 
 // onColdPath reports whether the site sits in a block that directly
@@ -114,65 +95,6 @@ func innermostFuncLit(stack []ast.Node) *ast.FuncLit {
 		}
 	}
 	return nil
-}
-
-// writesEnclosingVar reports whether the assignment or inc/dec
-// statement writes (directly, or through an index/selector/deref
-// chain) a variable declared outside the innermost function literal on
-// the stack — a captured-by-reference write.
-func writesEnclosingVar(info *types.Info, n ast.Node, stack []ast.Node) bool {
-	lit := innermostFuncLit(stack)
-	if lit == nil {
-		return false
-	}
-	for _, obj := range writeRoots(info, n) {
-		if capturedBy(obj, lit) {
-			return true
-		}
-	}
-	return false
-}
-
-// capturedBy reports whether obj is declared outside the function
-// literal (so references inside it capture the variable by reference).
-func capturedBy(obj types.Object, lit *ast.FuncLit) bool {
-	if obj == nil {
-		return false
-	}
-	pos := obj.Pos()
-	return pos.IsValid() && (pos < lit.Pos() || pos >= lit.End())
-}
-
-// writeRoots returns the root variables written by an assignment or
-// inc/dec statement: for x, x[i], x.f, and *x forms the root is x.
-// Short variable declarations define rather than write, so their
-// newly-defined names are excluded.
-func writeRoots(info *types.Info, n ast.Node) []types.Object {
-	var out []types.Object
-	add := func(e ast.Expr, defining bool) {
-		id := rootIdent(e)
-		if id == nil {
-			return
-		}
-		if defining {
-			if _, isDef := info.Defs[id]; isDef {
-				return
-			}
-		}
-		if obj, ok := info.Uses[id].(*types.Var); ok {
-			out = append(out, obj)
-		}
-	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		defining := n.Tok == token.DEFINE
-		for _, lhs := range n.Lhs {
-			add(lhs, defining)
-		}
-	case *ast.IncDecStmt:
-		add(n.X, false)
-	}
-	return out
 }
 
 // rootIdent peels index, selector, paren, and deref layers off an
@@ -262,37 +184,6 @@ func isChanType(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// typeContainsMutex reports whether a value of type t carries a
-// sync.Mutex or sync.RWMutex by value (directly, in a struct field, or
-// in an array element) — copying such a value duplicates lock state.
-func typeContainsMutex(t types.Type) bool {
-	return typeContainsMutexRec(t, make(map[types.Type]bool))
-}
-
-func typeContainsMutexRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isSyncType(t, "Mutex") || isSyncType(t, "RWMutex") {
-		if _, isPtr := t.(*types.Pointer); !isPtr {
-			return true
-		}
-		return false
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeContainsMutexRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return typeContainsMutexRec(u.Elem(), seen)
-	}
-	return false
 }
 
 // mutexCallTarget recognizes calls of the shape x.Lock / x.RLock /

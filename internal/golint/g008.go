@@ -7,9 +7,8 @@ import (
 	"go/types"
 )
 
-// G008 goroutine-discipline: every go statement must be joined, must
-// observe an in-scope context, and must take loop variables as
-// arguments instead of capturing them.
+// G008 goroutine-discipline: every go statement must be joined and
+// must observe an in-scope context.
 //
 // Joined means the spawn participates in a completion protocol the
 // spawning function can see: the closure calls Done on a sync.WaitGroup
@@ -18,21 +17,16 @@ import (
 // spawner silently — the serve layer's graceful shutdown and the
 // engines' cancellation contract both assume that never happens.
 //
-// The loop-variable check stays even though go ≥ 1.22 scopes iteration
-// variables per iteration: passing the variable as an argument is the
-// repo's explicitness contract (fsim's worker index w), and the rule is
-// what keeps it uniform.
-//
 // goroutineAllowlist (allowlist.go) vets the one shape the same-
 // function analysis cannot see: a constructor that starts workers and
 // hands the wg.Wait to a Close method. Listed functions skip only the
-// join check; context and loop-variable discipline still apply.
+// join check; context discipline still applies.
 
 func analyzerG008() *Analyzer {
 	return &Analyzer{
 		ID:       RuleGoroutineDiscipline,
 		Name:     "goroutine-discipline",
-		Doc:      "goroutine not joined, ignoring ctx, or capturing loop variables",
+		Doc:      "goroutine not joined or ignoring ctx",
 		Severity: Warning,
 		Run:      runG008,
 	}
@@ -59,7 +53,7 @@ func runG008(p *Pass) []Finding {
 	return out
 }
 
-// checkGoStmt applies the three discipline checks to one go statement.
+// checkGoStmt applies the two discipline checks to one go statement.
 func checkGoStmt(p *Pass, info *types.Info, fd *ast.FuncDecl, g *ast.GoStmt, stack []ast.Node) []Finding {
 	var out []Finding
 	lit, isClosure := g.Call.Fun.(*ast.FuncLit)
@@ -69,7 +63,7 @@ func checkGoStmt(p *Pass, info *types.Info, fd *ast.FuncDecl, g *ast.GoStmt, sta
 	// vetted constructor-shaped spawners whose join lives in another
 	// method.
 	if goroutineJoinAllowed(p.Pkg.Path, fd.Name.Name) {
-		// fall through to the context and loop-variable checks
+		// fall through to the context check
 	} else if !isClosure {
 		// A named-function spawn hides its signalling (if any) in another
 		// body the per-spawn analysis does not chase; the repo's shape is
@@ -91,15 +85,6 @@ func checkGoStmt(p *Pass, info *types.Info, fd *ast.FuncDecl, g *ast.GoStmt, sta
 			out = append(out, p.finding(RuleGoroutineDiscipline, Warning, g.Pos(),
 				fmt.Sprintf("goroutine spawned by %s ignores the context in scope", fd.Name.Name),
 				"pass ctx into the worker and check ctx.Err (or select on ctx.Done) so cancellation propagates"))
-		}
-	}
-
-	// Loop variables: workers take them as arguments, never capture.
-	if isClosure {
-		if names := capturedLoopVars(info, lit, stack); len(names) > 0 {
-			out = append(out, p.finding(RuleGoroutineDiscipline, Warning, g.Pos(),
-				fmt.Sprintf("goroutine closure captures loop variable(s) %s", joinNames(names)),
-				"pass the loop variable to the closure as an argument, like fsim's worker index"))
 		}
 	}
 	return out
@@ -245,62 +230,6 @@ func contextsInScope(info *types.Info, fd *ast.FuncDecl, stack []ast.Node, pos t
 				}
 			}
 		}
-	}
-	return out
-}
-
-// capturedLoopVars returns the names of loop iteration variables of
-// enclosing for/range statements that the closure references, in
-// source order.
-func capturedLoopVars(info *types.Info, lit *ast.FuncLit, stack []ast.Node) []string {
-	loopVars := make(map[types.Object]bool)
-	var order []types.Object
-	record := func(e ast.Expr) {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return
-		}
-		if obj := info.Defs[id]; obj != nil && !loopVars[obj] {
-			loopVars[obj] = true
-			order = append(order, obj)
-		}
-	}
-	for _, a := range stack {
-		switch s := a.(type) {
-		case *ast.RangeStmt:
-			if s.Tok == token.DEFINE {
-				if s.Key != nil {
-					record(s.Key)
-				}
-				if s.Value != nil {
-					record(s.Value)
-				}
-			}
-		case *ast.ForStmt:
-			if init, ok := s.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-				for _, lhs := range init.Lhs {
-					record(lhs)
-				}
-			}
-		}
-	}
-	var names []string
-	for _, obj := range order {
-		if refersToObject(info, lit.Body, map[types.Object]bool{obj: true}) {
-			names = append(names, obj.Name())
-		}
-	}
-	return names
-}
-
-// joinNames renders a short name list for messages.
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
 	}
 	return out
 }

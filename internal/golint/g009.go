@@ -8,8 +8,8 @@ import (
 )
 
 // G009 lock-discipline: every Lock has a matching Unlock in the same
-// function, no channel operation or engine call happens while a mutex
-// is syntactically held, and mutex-bearing values are never copied.
+// function, and no channel operation or engine call happens while a
+// mutex is syntactically held.
 //
 // The held region is computed per function frame by lockHeldRanges
 // (flow.go): conservative by construction, it ends at the first
@@ -24,7 +24,7 @@ func analyzerG009() *Analyzer {
 	return &Analyzer{
 		ID:       RuleLockDiscipline,
 		Name:     "lock-discipline",
-		Doc:      "unpaired lock, channel op or engine call under a mutex, or mutex copy",
+		Doc:      "unpaired lock, or channel op or engine call under a mutex",
 		Severity: Warning,
 		Run:      runG009,
 	}
@@ -42,7 +42,6 @@ func runG009(p *Pass) []Finding {
 			for _, frame := range frames(fd) {
 				out = append(out, checkHeldRegions(p, info, frame)...)
 			}
-			out = append(out, checkMutexCopies(p, info, fd)...)
 		}
 	}
 	return out
@@ -153,59 +152,4 @@ func checkHeldRegions(p *Pass, info *types.Info, frame *ast.BlockStmt) []Finding
 		return true
 	})
 	return out
-}
-
-// checkMutexCopies flags assignments that copy an existing mutex-
-// bearing value. Fresh composite literals and pointer hand-offs are
-// fine; duplicating live lock state is not — the copy and the original
-// then guard nothing together.
-func checkMutexCopies(p *Pass, info *types.Info, fd *ast.FuncDecl) []Finding {
-	var out []Finding
-	check := func(rhs ast.Expr) {
-		if !isExistingValue(rhs) {
-			return
-		}
-		t := info.TypeOf(rhs)
-		if t == nil || !typeContainsMutex(t) {
-			return
-		}
-		out = append(out, p.finding(RuleLockDiscipline, Warning, rhs.Pos(),
-			fmt.Sprintf("copying %s duplicates the mutex it contains", exprText(rhs)),
-			"pass a pointer instead of copying the lock-bearing value"))
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				check(rhs)
-			}
-		case *ast.DeclStmt:
-			if gd, ok := n.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, v := range vs.Values {
-							check(v)
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// isExistingValue reports whether e denotes an already-live value (an
-// identifier, field, element, or dereference) rather than a fresh
-// literal, address, or call result.
-func isExistingValue(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr:
-		return true
-	case *ast.StarExpr:
-		return true
-	}
-	return false
 }

@@ -26,8 +26,8 @@ import (
 //	    a protocol error (and a direct WriteHeader followed by another
 //	    header write is a double status line).
 //	C4  *http.Response values from client calls must have their Body
-//	    closed on every path — the client-side mirror of G014, sharing
-//	    its positional path check and ownership-transfer rules.
+//	    closed on every path, judged by the positional path check and
+//	    ownership-transfer rules of lifecycle.go.
 func analyzerG016() *Analyzer {
 	return &Analyzer{
 		ID:       RuleStreamingDiscipline,
@@ -39,11 +39,12 @@ func analyzerG016() *Analyzer {
 }
 
 // g016ClientAcquisitions is the C4 acquisition table: package-level
-// http helpers. Method calls on *http.Client are matched separately.
-var g016ClientAcquisitions = map[string]acqSpec{
-	"net/http.Get":  {resIdx: 0, errIdx: 1, what: "http.Get response", release: "Body.Close"},
-	"net/http.Post": {resIdx: 0, errIdx: 1, what: "http.Post response", release: "Body.Close"},
-	"net/http.Head": {resIdx: 0, errIdx: 1, what: "http.Head response", release: "Body.Close"},
+// http helpers and the response name each finding uses. Method calls on
+// *http.Client are matched separately.
+var g016ClientAcquisitions = map[string]string{
+	"net/http.Get":  "http.Get response",
+	"net/http.Post": "http.Post response",
+	"net/http.Head": "http.Head response",
 }
 
 func runG016(p *Pass) []Finding {
@@ -400,18 +401,18 @@ func checkResponseBodies(p *Pass, fd *ast.FuncDecl, rel releaseOracle) []Finding
 	var out []Finding
 	inspectWithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
-		if !ok || len(assign.Rhs) != 1 || len(assign.Lhs) < 1 {
+		if !ok || len(assign.Rhs) != 1 || len(assign.Lhs) != 2 {
 			return true
 		}
 		call, ok := assign.Rhs[0].(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		spec, ok := clientAcqSpec(info, call)
-		if !ok || len(assign.Lhs) <= spec.resIdx {
+		what, ok := clientAcquisition(info, call)
+		if !ok {
 			return true
 		}
-		id, ok := assign.Lhs[spec.resIdx].(*ast.Ident)
+		id, ok := assign.Lhs[0].(*ast.Ident)
 		if !ok {
 			return true
 		}
@@ -419,43 +420,41 @@ func checkResponseBodies(p *Pass, fd *ast.FuncDecl, rel releaseOracle) []Finding
 		if lit := innermostFuncLit(stack); lit != nil {
 			frame = lit.Body
 		}
-		acq := resourceAcq{pos: assign.Pos(), stmt: assign, what: spec.what, release: spec.release}
+		acq := resourceAcq{pos: assign.Pos(), stmt: assign, what: what}
 		if id.Name != "_" {
 			acq.obj = assignedObject(info, id)
 		}
-		if spec.errIdx >= 0 && spec.errIdx < len(assign.Lhs) {
-			if eid, ok := assign.Lhs[spec.errIdx].(*ast.Ident); ok && eid.Name != "_" {
-				acq.errObj = assignedObject(info, eid)
-			}
+		if eid, ok := assign.Lhs[1].(*ast.Ident); ok && eid.Name != "_" {
+			acq.errObj = assignedObject(info, eid)
 		}
-		out = append(out, checkAcquisitionAs(p, frame, acq, rel, RuleStreamingDiscipline)...)
+		out = append(out, checkAcquisition(p, frame, acq, rel)...)
 		return true
 	})
 	return out
 }
 
-// clientAcqSpec matches a client call that returns (*http.Response,
-// error): the package-level http helpers or Get/Post/Do/Head/PostForm
-// methods on an *http.Client.
-func clientAcqSpec(info *types.Info, call *ast.CallExpr) (acqSpec, bool) {
+// clientAcquisition matches a client call that returns
+// (*http.Response, error) — the package-level http helpers or
+// Get/Post/Do/Head/PostForm methods on an *http.Client — and names the
+// response for findings.
+func clientAcquisition(info *types.Info, call *ast.CallExpr) (string, bool) {
 	path, name := pkgQualified(info, call.Fun)
-	if spec, ok := g016ClientAcquisitions[path+"."+name]; ok {
-		return spec, true
+	if what, ok := g016ClientAcquisitions[path+"."+name]; ok {
+		return what, true
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return acqSpec{}, false
+		return "", false
 	}
 	switch sel.Sel.Name {
 	case "Do", "Get", "Post", "Head", "PostForm":
 	default:
-		return acqSpec{}, false
+		return "", false
 	}
 	if !isHTTPClient(info.TypeOf(sel.X)) {
-		return acqSpec{}, false
+		return "", false
 	}
-	return acqSpec{resIdx: 0, errIdx: 1,
-		what: "http.Client." + sel.Sel.Name + " response", release: "Body.Close"}, true
+	return "http.Client." + sel.Sel.Name + " response", true
 }
 
 // headerWriterSummaries computes (once per Run) the module functions

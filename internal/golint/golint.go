@@ -21,23 +21,13 @@
 //	G004 impure-engine               wall-clock, global RNG, or
 //	     environment reads inside deterministic engine packages, modulo
 //	     the vetted package allowlist (see allowlist.go)
-//	G005 error-hygiene               discarded error returns and
-//	     fmt.Errorf wrapping a live error without %w
-//	G006 doc-comment                 exported symbols in the API-bearing
-//	     packages missing a godoc comment whose first word is the
-//	     symbol name (see the docCommentPackages table in allowlist.go)
 //	G007 alloc-hot-path              allocation sites reachable (through
 //	     the intra-module call graph) from the measured loops of the
 //	     engine packages, modulo the pinned hotAllocAllowlist
-//	G008 goroutine-discipline        go statements that are never joined,
-//	     ignore an in-scope context, or capture loop variables instead
-//	     of taking them as arguments
-//	G009 lock-discipline             locks without a matching unlock,
-//	     channel operations or engine calls made while a mutex is held,
-//	     and copies of mutex-bearing values
-//	G010 worker-state-sharing        unsynchronized writes from goroutine
-//	     closures to variables shared with other writers — the static
-//	     complement of the -race test list
+//	G008 goroutine-discipline        go statements that are never joined
+//	     or ignore an in-scope context
+//	G009 lock-discipline             locks without a matching unlock, and
+//	     channel operations or engine calls made while a mutex is held
 //	G011 cache-key-soundness         engine option fields read on the
 //	     serve path but absent from the cache-key canonicalization, and
 //	     keyed or fed fields nothing ever reads (see taint.go)
@@ -47,10 +37,6 @@
 //	G013 engine-output-purity        mutable package state or environment
 //	     reads on the cache-keyed serve path — the static complement of
 //	     the cache's byte-identical-hit tests
-//	G014 resource-lifecycle          files, listeners, timers, tickers,
-//	     and cancel funcs acquired but not released on every path —
-//	     including early error returns — modulo vetted ownership
-//	     transfers (see the resourceOwnerAllowlist in allowlist.go)
 //	G015 durability-discipline       journal-writing packages (see the
 //	     durabilityPackages table): in-place state writes, renames of
 //	     never-fsynced blobs, renames with no directory sync, and
@@ -58,21 +44,25 @@
 //	G016 streaming-discipline        serve handlers: bare http.Flusher
 //	     assertions, NDJSON stream loops that flush optionally or not at
 //	     all, writes after a completed error response, and client
-//	     response bodies left open
+//	     response bodies left open on some path — modulo vetted
+//	     ownership transfers (see resourceOwnerAllowlist in allowlist.go)
 //
-// G001–G006 judge one file at a time; G007–G010 additionally consult
+// The set is deliberately narrow: a rule belongs here only when it
+// guards a contract of this system that go vet, staticcheck and the CI
+// -race step do not already check.
+//
+// G001–G004 judge one file at a time; G007–G009 additionally consult
 // Pass.Mod, the whole-module call graph built once per Run (see
 // callgraph.go). G011–G013 further consult the interprocedural dataflow
 // built on top of it (see taint.go): backward reachability from the
 // /v1/* handler wiring and forward field-sensitive taint from the
-// cache-keyed option structs. G014–G016 reuse the same call graph for
-// interprocedural release and header-write summaries (see lifecycle.go).
+// cache-keyed option structs. G015 and G016 reuse the same call graph
+// for directory-sync, release and header-write summaries (see
+// lifecycle.go).
 //
 // Findings mirror the internal/lint model — stable rule IDs, the same
 // Severity scale, a locus, and a fix hint — so cmd/lint and
-// cmd/codelint feel like one system pointed at two artifact kinds. A
-// finding may additionally carry a machine-applicable suggested fix
-// (see fix.go); cmd/codelint -fix applies them.
+// cmd/codelint feel like one system pointed at two artifact kinds.
 package golint
 
 import (
@@ -99,7 +89,8 @@ func ParseSeverity(s string) (Severity, error) { return lint.ParseSeverity(s) }
 
 // Stable rule identifiers. Like the lint.Rule* constants these are part
 // of the output contract: CI filters and goldens key on them, so
-// existing IDs must never be renumbered.
+// existing IDs must never be renumbered. The retired IDs G005, G006,
+// G010 and G014 are never reused.
 const (
 	// RuleNondetIteration: map iteration order leaks into output.
 	RuleNondetIteration = "G001"
@@ -112,24 +103,15 @@ const (
 	// RuleImpureEngine: wall-clock, global RNG, or environment read
 	// inside a deterministic engine package.
 	RuleImpureEngine = "G004"
-	// RuleErrorHygiene: discarded error return, or fmt.Errorf wrapping
-	// an error value without %w.
-	RuleErrorHygiene = "G005"
-	// RuleDocComment: exported symbol in an API-bearing package missing
-	// a godoc comment whose first word is the symbol name.
-	RuleDocComment = "G006"
 	// RuleAllocHotPath: allocation site reachable from a measured engine
 	// loop (see the hotLoopEntries table in allowlist.go).
 	RuleAllocHotPath = "G007"
-	// RuleGoroutineDiscipline: goroutine spawned without a join, ignoring
-	// an in-scope context, or capturing loop variables.
+	// RuleGoroutineDiscipline: goroutine spawned without a join, or
+	// ignoring an in-scope context.
 	RuleGoroutineDiscipline = "G008"
-	// RuleLockDiscipline: unpaired lock, channel op or engine call under
-	// a held mutex, or copy of a mutex-bearing value.
+	// RuleLockDiscipline: unpaired lock, or channel op or engine call
+	// under a held mutex.
 	RuleLockDiscipline = "G009"
-	// RuleWorkerStateSharing: unsynchronized goroutine-closure write to a
-	// variable shared with other writers.
-	RuleWorkerStateSharing = "G010"
 	// RuleCacheKeySoundness: engine option field read on the serve path
 	// but not consumed by the cache-key canonicalization (or vice versa).
 	RuleCacheKeySoundness = "G011"
@@ -139,9 +121,6 @@ const (
 	// RuleEngineOutputPurity: mutable package state or environment read
 	// on the cache-keyed serve path.
 	RuleEngineOutputPurity = "G013"
-	// RuleResourceLifecycle: an acquired resource (file, listener,
-	// timer, ticker, cancel func) not released on every path.
-	RuleResourceLifecycle = "G014"
 	// RuleDurabilityDiscipline: a journal-writing package breaks the
 	// append+Sync or tmp→fsync→rename→dir-sync shape.
 	RuleDurabilityDiscipline = "G015"
@@ -167,10 +146,6 @@ type Finding struct {
 	Message string `json:"message"`
 	// Hint suggests a fix, when one is known.
 	Hint string `json:"hint,omitempty"`
-	// Fix is a machine-applicable suggested fix, present only for the
-	// shapes whose repair is mechanical (see DESIGN.md "Autofix
-	// safety"); most findings are finding-only and carry nil.
-	Fix *Fix `json:"fix,omitempty"`
 }
 
 // String renders the finding in the conventional compiler one-liner.
@@ -205,16 +180,12 @@ func Analyzers() []*Analyzer {
 		analyzerG002(),
 		analyzerG003(),
 		analyzerG004(),
-		analyzerG005(),
-		analyzerG006(),
 		analyzerG007(),
 		analyzerG008(),
 		analyzerG009(),
-		analyzerG010(),
 		analyzerG011(),
 		analyzerG012(),
 		analyzerG013(),
-		analyzerG014(),
 		analyzerG015(),
 		analyzerG016(),
 	}

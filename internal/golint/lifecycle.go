@@ -1,17 +1,17 @@
 package golint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// This file is the shared machinery of the resource-lifecycle rules:
-// G014 (files, listeners, timers, tickers, cancel funcs) and the
-// response-body half of G016 both reduce to the same question — is a
-// value acquired here released on every path out of its frame? — so
-// they share one acquisition model, one positional path check, and one
-// interprocedural release summary computed over the module call graph.
+// This file is the lifecycle machinery behind G016's response-body
+// check (C4): is a value acquired here released on every path out of
+// its frame? It holds the acquisition model, the positional path check,
+// and an interprocedural release summary computed over the module call
+// graph.
 //
 // The analysis is deliberately positional rather than a full CFG: a
 // resource is "released" when a release call (deferred or direct,
@@ -26,93 +26,65 @@ import (
 
 // resourceAcq is one tracked acquisition site.
 type resourceAcq struct {
-	// obj is the acquired value's object: the file/listener/timer
-	// variable, or the cancel func for context acquisitions.
+	// obj is the acquired value's object; nil when the value was
+	// assigned to the blank identifier.
 	obj types.Object
-	// errObj is the paired error variable (nil when the acquiring call
-	// returns none); returns guarded by a condition mentioning it are
-	// legitimate pre-acquisition-failure exits.
+	// errObj is the paired error variable (nil when assigned to the
+	// blank identifier); returns guarded by a condition mentioning it
+	// are legitimate pre-acquisition-failure exits.
 	errObj types.Object
 	// pos anchors findings; stmt is the acquiring assignment.
 	pos  token.Pos
 	stmt *ast.AssignStmt
-	// what names the resource in messages ("os.Open file", ...).
+	// what names the resource in messages ("http.Get response", ...).
 	what string
-	// release is the releasing method name ("Close", "Stop"), "" when
-	// the resource is itself a func to call (cancel funcs), or
-	// "Body.Close" for *http.Response values.
-	release string
 }
 
-// acqSpec describes one acquiring call: which result is the resource,
-// which (if any) is the error, and how the resource is released.
-type acqSpec struct {
-	resIdx  int
-	errIdx  int // -1 when the call returns no error
-	what    string
-	release string
-}
-
-// g014Acquisitions maps "pkg.Func" for the G014 resource table.
-var g014Acquisitions = map[string]acqSpec{
-	"os.Open":             {resIdx: 0, errIdx: 1, what: "os.Open file", release: "Close"},
-	"os.Create":           {resIdx: 0, errIdx: 1, what: "os.Create file", release: "Close"},
-	"net.Listen":          {resIdx: 0, errIdx: 1, what: "net.Listen listener", release: "Close"},
-	"time.NewTimer":       {resIdx: 0, errIdx: -1, what: "time.NewTimer timer", release: "Stop"},
-	"time.NewTicker":      {resIdx: 0, errIdx: -1, what: "time.NewTicker ticker", release: "Stop"},
-	"context.WithCancel":  {resIdx: 1, errIdx: -1, what: "context.WithCancel cancel func", release: ""},
-	"context.WithTimeout": {resIdx: 1, errIdx: -1, what: "context.WithTimeout cancel func", release: ""},
-}
-
-// findAcquisitions scans one declared function and returns its tracked
-// acquisitions from the given spec table, each paired with the body of
-// its innermost enclosing function (the frame the path check runs in).
-func findAcquisitions(info *types.Info, fd *ast.FuncDecl, specs map[string]acqSpec) []struct {
-	acq   resourceAcq
-	frame *ast.BlockStmt
-} {
-	var out []struct {
-		acq   resourceAcq
-		frame *ast.BlockStmt
+// checkAcquisition runs the positional path check for one acquisition
+// and renders its G016 findings.
+func checkAcquisition(p *Pass, frame *ast.BlockStmt, acq resourceAcq, rel releaseOracle) []Finding {
+	if acq.obj == nil {
+		// The response was assigned to the blank identifier: nobody can
+		// ever close its body.
+		f := p.finding(RuleStreamingDiscipline, Error, acq.pos,
+			fmt.Sprintf("%s is discarded, so it can never be released", acq.what),
+			"bind the value and release it (defer) or transfer ownership")
+		return []Finding{f}
 	}
-	inspectWithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok || len(assign.Rhs) != 1 {
-			return true
+	sc := scanLifecycle(p.Pkg.Info, frame, acq, rel)
+	if sc.escaped {
+		return nil
+	}
+	if len(sc.releases) == 0 {
+		f := p.finding(RuleStreamingDiscipline, Error, acq.pos,
+			fmt.Sprintf("%s %s is never released", acq.what, acq.obj.Name()),
+			fmt.Sprintf("add `defer %s` after the acquisition's error check", releaseCallText(acq)))
+		return []Finding{f}
+	}
+	if sc.deferredRelease {
+		// A deferred release covers every path after the defer runs; the
+		// positional early-return check below only applies to direct
+		// releases, where returns before the release line leak.
+		return nil
+	}
+	var out []Finding
+	first := sc.releases[0]
+	for _, pos := range sc.releases[1:] {
+		if pos < first {
+			first = pos
 		}
-		call, ok := assign.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		path, name := pkgQualified(info, call.Fun)
-		spec, ok := specs[path+"."+name]
-		if !ok || spec.resIdx >= len(assign.Lhs) {
-			return true
-		}
-		id, ok := assign.Lhs[spec.resIdx].(*ast.Ident)
-		if !ok {
-			return true // stored straight into a field/index: transferred
-		}
-		frame := fd.Body
-		if lit := innermostFuncLit(stack); lit != nil {
-			frame = lit.Body
-		}
-		acq := resourceAcq{pos: assign.Pos(), stmt: assign, what: spec.what, release: spec.release}
-		if id.Name != "_" {
-			acq.obj = assignedObject(info, id)
-		}
-		if spec.errIdx >= 0 && spec.errIdx < len(assign.Lhs) {
-			if eid, ok := assign.Lhs[spec.errIdx].(*ast.Ident); ok && eid.Name != "_" {
-				acq.errObj = assignedObject(info, eid)
-			}
-		}
-		out = append(out, struct {
-			acq   resourceAcq
-			frame *ast.BlockStmt
-		}{acq, frame})
-		return true
-	})
+	}
+	for _, ret := range earlyReturns(p.Pkg.Info, frame, acq, first) {
+		out = append(out, p.finding(RuleStreamingDiscipline, Error, ret,
+			fmt.Sprintf("%s %s is not released on this return path", acq.what, acq.obj.Name()),
+			fmt.Sprintf("release with `defer %s` so every return is covered", releaseCallText(acq))))
+	}
 	return out
+}
+
+// releaseCallText renders the releasing call for hints.
+func releaseCallText(acq resourceAcq) string {
+	return acq.obj.Name() + ".Body.Close()"
 }
 
 // assignedObject resolves the object an assignment's left-hand ident
@@ -151,7 +123,7 @@ func scanLifecycle(info *types.Info, frame *ast.BlockStmt, acq resourceAcq, rel 
 	inspectWithStack(frame, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if isReleaseCall(info, n, acq, isObj) {
+			if x := bodyCloseOperand(n); x != nil && isObj(x) {
 				sc.releases = append(sc.releases, n.Pos())
 				if underDefer(stack) {
 					sc.deferredRelease = true
@@ -210,24 +182,18 @@ func scanLifecycle(info *types.Info, frame *ast.BlockStmt, acq resourceAcq, rel 
 	return sc
 }
 
-// isReleaseCall reports whether the call releases the acquisition:
-// obj.Close()/obj.Stop(), obj() for cancel funcs, or obj.Body.Close()
-// for response bodies.
-func isReleaseCall(info *types.Info, call *ast.CallExpr, acq resourceAcq, isObj func(ast.Expr) bool) bool {
-	switch acq.release {
-	case "":
-		return isObj(call.Fun)
-	case "Body.Close":
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Close" {
-			return false
-		}
-		body, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-		return ok && body.Sel.Name == "Body" && isObj(body.X)
-	default:
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		return ok && sel.Sel.Name == acq.release && isObj(sel.X)
+// bodyCloseOperand returns x for a call of the shape x.Body.Close(),
+// nil for any other call.
+func bodyCloseOperand(call *ast.CallExpr) ast.Expr {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Close" {
+		return nil
 	}
+	body, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok || body.Sel.Name != "Body" {
+		return nil
+	}
+	return body.X
 }
 
 // bareIdentIn reports whether the expression mentions obj as a bare
@@ -308,8 +274,8 @@ type releaseOracle func(fn *types.Func, param int) bool
 
 // releaseSummaries computes (once per Run) which functions release
 // which of their parameters: a parameter is released when the body
-// calls Close/Stop on it, calls it (cancel funcs), closes its Body, or
-// forwards it bare to another module function that releases it — a
+// closes its Body, or forwards it bare to another module function that
+// releases it — a
 // fixpoint over the call graph, so release helpers compose.
 func (m *ModuleFacts) releaseSummaries() map[*types.Func]map[int]bool {
 	if m.released != nil {
@@ -416,32 +382,15 @@ func paramObjects(info *types.Info, fd *ast.FuncDecl) []types.Object {
 }
 
 // releasedParamIndex reports which parameter (if any) the call releases
-// directly: p.Close(), p.Stop(), p(), or p.Body.Close().
+// directly: p.Body.Close().
 func releasedParamIndex(info *types.Info, call *ast.CallExpr, params []types.Object) (int, bool) {
-	target := func(e ast.Expr) (int, bool) {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return 0, false
-		}
-		for i, p := range params {
-			if p != nil && info.Uses[id] == p {
-				return i, true
-			}
-		}
+	id, ok := ast.Unparen(bodyCloseOperand(call)).(*ast.Ident)
+	if !ok {
 		return 0, false
 	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return target(fun)
-	case *ast.SelectorExpr:
-		switch fun.Sel.Name {
-		case "Close", "Stop":
-			if i, ok := target(fun.X); ok {
-				return i, true
-			}
-			if body, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok && body.Sel.Name == "Body" && fun.Sel.Name == "Close" {
-				return target(body.X)
-			}
+	for i, p := range params {
+		if p != nil && info.Uses[id] == p {
+			return i, true
 		}
 	}
 	return 0, false

@@ -340,16 +340,6 @@ type Pass struct {
 	Mod *ModuleFacts
 }
 
-// relFile returns the module-relative forward-slash path of the file
-// holding pos (the same normalization findings carry).
-func (p *Pass) relFile(pos token.Pos) string {
-	file := p.Loader.Fset.Position(pos).Filename
-	if rel, err := filepath.Rel(p.Loader.ModRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	return file
-}
-
 // finding builds a Finding anchored at pos with the pass's package and
 // module-relative file path filled in.
 func (p *Pass) finding(rule string, sev Severity, pos token.Pos, msg, hint string) Finding {

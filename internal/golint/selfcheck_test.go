@@ -8,7 +8,7 @@ import (
 // TestSelfCheckRepoClean is the self-hosting gate: the analyzers run
 // over the entire module and the tree must be clean at warning
 // severity. Anything Info-level is reported for visibility but does
-// not fail — G005's %w suggestions are advisory by design.
+// not fail — G011's dead-key-material notes are advisory by design.
 //
 // If this test fails after a legitimate, vetted change (say, a new
 // timing source in a metrics path), the fix is an entry in the
@@ -435,9 +435,9 @@ func TestAllowlistLoadBearing(t *testing.T) {
 	}
 }
 
-// TestResourceOwnerAllowlistPinned pins the G014 ownership-transfer
+// TestResourceOwnerAllowlistPinned pins the G016 ownership-transfer
 // waivers to the fixture entry alone: the live tree currently holds no
-// constructor whose acquisitions outlive the frame by design, so any
+// constructor whose responses outlive the frame by design, so any
 // growth here is a reviewed decision.
 func TestResourceOwnerAllowlistPinned(t *testing.T) {
 	if len(resourceOwnerAllowlist) != 1 {
@@ -448,42 +448,42 @@ func TestResourceOwnerAllowlistPinned(t *testing.T) {
 			t.Errorf("allowlist entry %s.%s carries no justification", e.pkg, e.fn)
 		}
 	}
-	if !isResourceOwner("repro/testdata/codelint/g014", "Vetted") {
+	if !isResourceOwner("repro/testdata/codelint/g016", "Vetted") {
 		t.Error("resourceOwnerAllowlist lost the fixture's Vetted entry")
 	}
 	if isResourceOwner("repro/internal/serve", "Vetted") {
 		t.Error("the fixture waiver must not leak onto serve")
 	}
-	if isResourceOwner("repro/testdata/codelint/g014", "LeakFile") {
-		t.Error("LeakFile is the fixture's dirty shape and must never be waived")
+	if isResourceOwner("repro/testdata/codelint/g016", "LeakBody") {
+		t.Error("LeakBody is the fixture's dirty shape and must never be waived")
 	}
 }
 
 // TestResourceOwnerAllowlistLoadBearing asserts the Vetted entry still
-// covers a live acquisition: bypassing the allowlist, the function must
-// acquire a G014-tracked resource it never releases — exactly what the
-// waiver exists to silence. A Vetted that stops acquiring goes stale
-// and fails here.
+// covers a live leak: bypassing the allowlist, the function must hold a
+// client response whose body it never closes — exactly what the waiver
+// exists to silence. A Vetted that stops leaking goes stale and fails
+// here.
 func TestResourceOwnerAllowlistLoadBearing(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := l.Load("repro/testdata/codelint/g014")
+	pkgs, err := l.Load("repro/testdata/codelint/g016")
 	if err != nil {
 		t.Fatal(err)
 	}
-	acquires := 0
+	pass := &Pass{Loader: l, Pkg: pkgs[0], Mod: newModuleFacts(l, pkgs)}
+	leaks := 0
 	for _, file := range pkgs[0].Files {
 		for _, fd := range funcDecls(file) {
-			if fd.Name.Name != "Vetted" || fd.Body == nil {
-				continue
+			if fd.Name.Name == "Vetted" && fd.Body != nil {
+				leaks += len(checkResponseBodies(pass, fd, pass.Mod.releaseOracleOf()))
 			}
-			acquires += len(findAcquisitions(pkgs[0].Info, fd, g014Acquisitions))
 		}
 	}
-	if acquires == 0 {
-		t.Error("g014.Vetted no longer acquires a tracked resource; prune its resourceOwnerAllowlist entry")
+	if leaks == 0 {
+		t.Error("g016.Vetted no longer leaks a response body; prune its resourceOwnerAllowlist entry")
 	}
 }
 

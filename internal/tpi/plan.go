@@ -56,7 +56,10 @@ func PlanHybrid(c *netlist.Circuit, faults []fault.Fault, nCP, nOP int, dth floa
 }
 
 func planHybrid(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, nCP, nOP int, dth float64, cpOpts CPOptions, opOpts OPOptions) (*HybridPlan, error) {
-	faults, pruned := PruneFaults(c, faults)
+	faults, pruned, err := pruneFaults(ctx, c, faults)
+	if err != nil {
+		return nil, err
+	}
 	cp, err := planControlPointsGreedy(ctx, c, faults, nCP, dth, cpOpts)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package tpi
 
 import (
+	"context"
+
 	"repro/internal/fault"
 	"repro/internal/implic"
 	"repro/internal/netlist"
@@ -17,12 +19,29 @@ const pruneGateLimit = 4096
 // planners' coverage model. Returns the kept faults and how many were
 // pruned. Circuits above the internal gate limit are returned unchanged.
 func PruneFaults(c *netlist.Circuit, faults []fault.Fault) ([]fault.Fault, int) {
+	return uncancelled(pruneFaults(context.Background(), c, faults))
+}
+
+// uncancelled drops the error of a prune run under a context that is
+// never done (cancellation is the prune's only error source), so
+// PruneFaults stays the single-return compat wrapper G003 sanctions.
+func uncancelled(kept []fault.Fault, pruned int, _ error) ([]fault.Fault, int) {
+	return kept, pruned
+}
+
+// pruneFaults is PruneFaults under ctx: the implication engine build
+// polls it and the prune returns ctx's error once it is done.
+func pruneFaults(ctx context.Context, c *netlist.Circuit, faults []fault.Fault) ([]fault.Fault, int, error) {
 	if c.NumGates() > pruneGateLimit {
-		return faults, 0
+		return faults, 0, nil
 	}
-	red := implic.New(c, implic.Options{}).RedundantSet()
+	e, err := implic.NewContext(ctx, c, implic.Options{})
+	if err != nil {
+		return nil, 0, err
+	}
+	red := e.RedundantSet()
 	if len(red) == 0 {
-		return faults, 0
+		return faults, 0, nil
 	}
 	kept := make([]fault.Fault, 0, len(faults))
 	for _, f := range faults {
@@ -30,5 +49,5 @@ func PruneFaults(c *netlist.Circuit, faults []fault.Fault) ([]fault.Fault, int) 
 			kept = append(kept, f)
 		}
 	}
-	return kept, len(faults) - len(kept)
+	return kept, len(faults) - len(kept), nil
 }

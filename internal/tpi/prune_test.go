@@ -1,7 +1,10 @@
 package tpi
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -86,5 +89,25 @@ func TestDPSkipsFaultFreeRegions(t *testing.T) {
 		if !hasFault[region[p]] {
 			t.Errorf("observation point %d placed in a fault-free region", p)
 		}
+	}
+}
+
+// TestPlanHybridContextPreCancelled pins the pre-prune to the request
+// context: on this 600-gate DAG the implication build and redundancy
+// sweep take a few hundred milliseconds, so a cancelled plan that still
+// ran them would blow the bound by an order of magnitude.
+func TestPlanHybridContextPreCancelled(t *testing.T) {
+	c := gen.RandomDAG(13, 16, 600, gen.DAGOptions{})
+	faults := fault.CollapsedUniverse(c)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, err := PlanHybridContext(ctx, c, faults, 3, 4, 1.0/64, CPOptions{}, OPOptions{})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed > 20*time.Millisecond {
+		t.Errorf("cancelled PlanHybridContext returned after %v, want under 20ms", elapsed)
 	}
 }

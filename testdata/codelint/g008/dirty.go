@@ -1,6 +1,6 @@
 // Package g008 is a codelint fixture: goroutine discipline (rule G008).
-// Joined shows the sanctioned worker shape — joined, cancellable, loop
-// variable passed as an argument — and must stay clean.
+// Joined shows the sanctioned worker shape — joined and cancellable —
+// and must stay clean.
 package g008
 
 import (
@@ -25,22 +25,6 @@ func Ignore(ctx context.Context, ch chan int) int {
 		ch <- 1
 	}()
 	return <-ch
-}
-
-// Capture lets its workers capture the loop variable instead of taking
-// it as an argument: finding.
-func Capture(ctx context.Context, vals []int, sink chan<- int) {
-	var wg sync.WaitGroup
-	for _, v := range vals {
-		wg.Add(1)
-		go func() { // finding: captures loop variable v
-			defer wg.Done()
-			if ctx.Err() == nil {
-				sink <- v
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Joined is the sanctioned worker shape: clean.

@@ -35,12 +35,6 @@ func (c *Counter) Engine() implic.Lit {
 	return implic.MkLit(c.n, true) // finding: engine call under c.mu
 }
 
-// Clone copies the mutex-bearing struct by value: finding.
-func Clone(c *Counter) Counter {
-	dup := *c // finding: copies Counter's sync.Mutex
-	return dup
-}
-
 // Bump is the sanctioned shape: clean.
 func (c *Counter) Bump() int {
 	c.mu.Lock()

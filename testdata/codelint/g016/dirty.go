@@ -125,3 +125,14 @@ func FetchJSON(url string, v any) error {
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(v)
 }
+
+// Vetted leaks its response body exactly like LeakBody, but is pinned
+// in resourceOwnerAllowlist: the golden proves the allowlist silences a
+// listed function while its neighbors still fire.
+func Vetted(url string) (int, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return 0, err
+	}
+	return resp.StatusCode, nil
+}
