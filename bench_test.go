@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cpt"
@@ -169,7 +170,7 @@ func BenchmarkPODEM(b *testing.B) {
 	faults := fault.CollapsedUniverse(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GenerateTests(c, faults, ATPGOptions{}); err != nil {
+		if _, err := GenerateTests(context.Background(), c, faults, ATPGOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +218,7 @@ func BenchmarkFaultSimParallel(b *testing.B) {
 	faults := fault.CollapsedUniverse(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := fsim.RunParallel(c, faults, func() pattern.Source { return pattern.NewLFSR(7) }, 0,
+		_, err := fsim.RunParallel(context.Background(), c, faults, func() pattern.Source { return pattern.NewLFSR(7) }, 0,
 			fsim.Options{MaxPatterns: 4096, DropFaults: true})
 		if err != nil {
 			b.Fatal(err)

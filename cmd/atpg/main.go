@@ -55,7 +55,7 @@ func main() {
 }
 
 func run(ctx context.Context, benchPath, genSpec, outPath string, limit int, dominance, compact, verify, doLint bool) error {
-	c, err := cli.LoadCircuitChecked(benchPath, genSpec, doLint, os.Stderr)
+	c, err := cli.LoadCircuitChecked(ctx, benchPath, genSpec, doLint, os.Stderr)
 	if err != nil {
 		return err
 	}

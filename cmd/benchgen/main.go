@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +42,7 @@ func run(genSpec, outPath, format string, stats, doLint bool) error {
 		return err
 	}
 	if doLint {
-		if err := cli.LintCircuit(c, os.Stderr); err != nil {
+		if err := cli.LintCircuit(context.Background(), c, os.Stderr); err != nil {
 			return err
 		}
 	}

@@ -52,7 +52,7 @@ func main() {
 func run(ctx context.Context, quick bool, only, csvDir string, doLint bool) error {
 	cfg := exp.Config{Quick: quick}
 	if doLint {
-		if err := exp.Preflight(cfg, os.Stderr); err != nil {
+		if err := exp.Preflight(ctx, cfg, os.Stderr); err != nil {
 			return err
 		}
 	}

@@ -55,7 +55,7 @@ func main() {
 }
 
 func run(ctx context.Context, benchPath, genSpec string, patterns int, seed uint64, source, vecPath string, curve int, uncol bool, hard int, doLint bool) error {
-	c, err := cli.LoadCircuitChecked(benchPath, genSpec, doLint, os.Stderr)
+	c, err := cli.LoadCircuitChecked(ctx, benchPath, genSpec, doLint, os.Stderr)
 	if err != nil {
 		return err
 	}

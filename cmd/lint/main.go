@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,7 +46,7 @@ func main() {
 		implics   = flag.Bool("implications", false, "summarise the static implication engine per circuit (learned implications, constants, dominators, redundant faults)")
 	)
 	flag.Parse()
-	failed, err := run(os.Stdout, config{
+	failed, err := run(context.Background(), os.Stdout, config{
 		benchPath:    *benchPath,
 		genSpec:      *genSpec,
 		paths:        flag.Args(),
@@ -117,7 +118,7 @@ type analyzed struct {
 
 // run lints every requested circuit and reports whether any finding
 // reached the failure severity.
-func run(w io.Writer, cfg config) (bool, error) {
+func run(ctx context.Context, w io.Writer, cfg config) (bool, error) {
 	minSev, err := lint.ParseSeverity(cfg.sevName)
 	if err != nil {
 		return false, err
@@ -136,14 +137,22 @@ func run(w io.Writer, cfg config) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		circuits = append(circuits, analyzed{c, lint.Analyze(c, cfg.opts)})
+		rep, err := lint.Analyze(ctx, c, cfg.opts)
+		if err != nil {
+			return false, err
+		}
+		circuits = append(circuits, analyzed{c, rep})
 	}
 	for _, p := range cfg.paths {
 		c, err := cli.LoadCircuit(p, "")
 		if err != nil {
 			return false, err
 		}
-		circuits = append(circuits, analyzed{c, lint.Analyze(c, cfg.opts)})
+		rep, err := lint.Analyze(ctx, c, cfg.opts)
+		if err != nil {
+			return false, err
+		}
+		circuits = append(circuits, analyzed{c, rep})
 	}
 
 	failed := false
@@ -156,7 +165,9 @@ func run(w io.Writer, cfg config) (bool, error) {
 		counts := rep.CountBySeverity()
 		var impl *implicSummary
 		if cfg.implications {
-			impl = summarizeImplications(a.c)
+			if impl, err = summarizeImplications(ctx, a.c); err != nil {
+				return false, err
+			}
 		}
 		if cfg.jsonOut {
 			findings := rep.Filter(minSev)
@@ -211,9 +222,17 @@ type implicSummary struct {
 	dominated int
 }
 
-// summarizeImplications runs the implication engine on the circuit.
-func summarizeImplications(c *netlist.Circuit) *implicSummary {
-	e := implic.New(c, implic.Options{})
+// summarizeImplications runs the implication engine on the circuit
+// under ctx.
+func summarizeImplications(ctx context.Context, c *netlist.Circuit) (*implicSummary, error) {
+	e, err := implic.NewContext(ctx, c, implic.Options{})
+	if err != nil {
+		return nil, err
+	}
+	red, err := e.Redundant(ctx)
+	if err != nil {
+		return nil, err
+	}
 	s := &implicSummary{stats: e.Stats()}
 	for _, sig := range e.Constants() {
 		v, _ := e.ConstValue(sig)
@@ -223,7 +242,7 @@ func summarizeImplications(c *netlist.Circuit) *implicSummary {
 		}
 		s.constants = append(s.constants, fmt.Sprintf("%s=%d", c.GateName(sig), bit))
 	}
-	for _, r := range e.Redundant() {
+	for _, r := range red {
 		s.redundant = append(s.redundant, jsonRedundant{Fault: r.F.Name(c), Reason: r.Reason})
 	}
 	for sig := 0; sig < c.NumGates(); sig++ {
@@ -231,7 +250,7 @@ func summarizeImplications(c *netlist.Circuit) *implicSummary {
 			s.dominated++
 		}
 	}
-	return s
+	return s, nil
 }
 
 func (s *implicSummary) json() *jsonImplications {

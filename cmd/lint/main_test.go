@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ const fixtureDir = "../../testdata/lint"
 func runText(t *testing.T, path string) (string, bool) {
 	t.Helper()
 	var sb strings.Builder
-	failed, err := run(&sb, config{paths: []string{path}, sevName: "info", failName: "error"})
+	failed, err := run(context.Background(), &sb, config{paths: []string{path}, sevName: "info", failName: "error"})
 	if err != nil {
 		t.Fatalf("run %s: %v", path, err)
 	}
@@ -55,7 +56,7 @@ func TestCleanFixtureHasNoWarnings(t *testing.T) {
 
 func TestJSONOutput(t *testing.T) {
 	var sb strings.Builder
-	failed, err := run(&sb, config{paths: []string{filepath.Join(fixtureDir, "stuck.bench")}, jsonOut: true, sevName: "info", failName: "error"})
+	failed, err := run(context.Background(), &sb, config{paths: []string{filepath.Join(fixtureDir, "stuck.bench")}, jsonOut: true, sevName: "info", failName: "error"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestJSONOutput(t *testing.T) {
 
 func TestFailSeverityFlag(t *testing.T) {
 	var sb strings.Builder
-	failed, err := run(&sb, config{paths: []string{filepath.Join(fixtureDir, "undriven.bench")}, sevName: "info", failName: "warning"})
+	failed, err := run(context.Background(), &sb, config{paths: []string{filepath.Join(fixtureDir, "undriven.bench")}, sevName: "info", failName: "warning"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestFailSeverityFlag(t *testing.T) {
 
 func TestGenSpecAndMultipleInputs(t *testing.T) {
 	var sb strings.Builder
-	failed, err := run(&sb, config{genSpec: "c17", paths: []string{filepath.Join(fixtureDir, "clean.bench")}, sevName: "info", failName: "error"})
+	failed, err := run(context.Background(), &sb, config{genSpec: "c17", paths: []string{filepath.Join(fixtureDir, "clean.bench")}, sevName: "info", failName: "error"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,20 +112,20 @@ func TestGenSpecAndMultipleInputs(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var sb strings.Builder
-	if _, err := run(&sb, config{sevName: "info", failName: "error"}); err == nil {
+	if _, err := run(context.Background(), &sb, config{sevName: "info", failName: "error"}); err == nil {
 		t.Error("expected error with no inputs")
 	}
-	if _, err := run(&sb, config{paths: []string{"no/such/file.bench"}, sevName: "info", failName: "error"}); err == nil {
+	if _, err := run(context.Background(), &sb, config{paths: []string{"no/such/file.bench"}, sevName: "info", failName: "error"}); err == nil {
 		t.Error("expected error for missing file")
 	}
-	if _, err := run(&sb, config{genSpec: "c17", sevName: "frob", failName: "error"}); err == nil {
+	if _, err := run(context.Background(), &sb, config{genSpec: "c17", sevName: "frob", failName: "error"}); err == nil {
 		t.Error("expected error for bad severity name")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.bench")
 	if err := os.WriteFile(bad, []byte("z = FROB(a)\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(&sb, config{paths: []string{bad}, sevName: "info", failName: "error"}); err == nil {
+	if _, err := run(context.Background(), &sb, config{paths: []string{bad}, sevName: "info", failName: "error"}); err == nil {
 		t.Error("expected error for malformed bench input")
 	}
 }
@@ -136,7 +137,7 @@ func TestRunErrors(t *testing.T) {
 //	go run ./cmd/lint -json -severity info testdata/lint/redundant.bench > testdata/lint/redundant.golden.json
 func TestJSONGoldenFile(t *testing.T) {
 	var sb strings.Builder
-	failed, err := run(&sb, config{paths: []string{filepath.Join(fixtureDir, "redundant.bench")}, jsonOut: true, sevName: "info", failName: "error"})
+	failed, err := run(context.Background(), &sb, config{paths: []string{filepath.Join(fixtureDir, "redundant.bench")}, jsonOut: true, sevName: "info", failName: "error"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestJSONGoldenFile(t *testing.T) {
 // with findings from several passes: rule ID ascending, then signal.
 func TestJSONFindingsOrdered(t *testing.T) {
 	var sb strings.Builder
-	if _, err := run(&sb, config{paths: []string{filepath.Join(fixtureDir, "stuck.bench")}, jsonOut: true, sevName: "info", failName: "error"}); err != nil {
+	if _, err := run(context.Background(), &sb, config{paths: []string{filepath.Join(fixtureDir, "stuck.bench")}, jsonOut: true, sevName: "info", failName: "error"}); err != nil {
 		t.Fatal(err)
 	}
 	var reports []struct {
@@ -180,14 +181,14 @@ func TestJSONFindingsOrdered(t *testing.T) {
 // TestImplicationsFlag smoke-tests both renderers of -implications.
 func TestImplicationsFlag(t *testing.T) {
 	var sb strings.Builder
-	if _, err := run(&sb, config{paths: []string{filepath.Join(fixtureDir, "redundant.bench")}, implications: true, sevName: "info", failName: "error"}); err != nil {
+	if _, err := run(context.Background(), &sb, config{paths: []string{filepath.Join(fixtureDir, "redundant.bench")}, implications: true, sevName: "info", failName: "error"}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "implications:") || !strings.Contains(sb.String(), "redundant n1 s-a-0") {
 		t.Errorf("text summary missing implication block:\n%s", sb.String())
 	}
 	sb.Reset()
-	if _, err := run(&sb, config{paths: []string{filepath.Join(fixtureDir, "redundant.bench")}, implications: true, jsonOut: true, sevName: "info", failName: "error"}); err != nil {
+	if _, err := run(context.Background(), &sb, config{paths: []string{filepath.Join(fixtureDir, "redundant.bench")}, implications: true, jsonOut: true, sevName: "info", failName: "error"}); err != nil {
 		t.Fatal(err)
 	}
 	var reports []struct {

@@ -64,7 +64,7 @@ func main() {
 }
 
 func run(ctx context.Context, benchPath, genSpec, mode, planner string, k, nCP, nOP int, dth float64, patterns int, seed uint64, outPath string, doLint bool) error {
-	c, err := cli.LoadCircuitChecked(benchPath, genSpec, doLint, os.Stderr)
+	c, err := cli.LoadCircuitChecked(ctx, benchPath, genSpec, doLint, os.Stderr)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func ExamplePlanCuts() {
 func ExampleSimulate() {
 	c := repro.C17()
 	faults := repro.Faults(c)
-	res, err := repro.Simulate(c, faults, repro.NewCounter(5),
+	res, err := repro.Simulate(context.Background(), c, faults, repro.NewCounter(5),
 		repro.SimOptions{MaxPatterns: 32, DropFaults: true})
 	if err != nil {
 		log.Fatal(err)
@@ -74,7 +75,7 @@ func ExampleGenerateTests() {
 	b.MarkOutput(b.OrGate("z", a, g))
 	c := b.MustBuild()
 
-	ts, err := repro.GenerateTests(c, repro.Faults(c), repro.ATPGOptions{})
+	ts, err := repro.GenerateTests(context.Background(), c, repro.Faults(c), repro.ATPGOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,13 +19,15 @@ import (
 const patterns = 32768
 
 func main() {
+	ctx := context.Background()
+
 	// Three wide AND cones buried in 120 gates of random glue logic.
 	c := repro.RPResistant(7, 3, 14, 120)
 	fmt.Println(c)
 	faults := repro.Faults(c)
 	fmt.Printf("collapsed faults: %d\n\n", len(faults))
 
-	orig, err := curve(c, faults)
+	orig, err := curve(ctx, c, faults)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,13 +35,13 @@ func main() {
 	// Plan the test points: the threshold 4/patterns asks that every
 	// targeted fault have a decent chance of several detections within
 	// the session.
-	plan, err := repro.PlanTestPoints(c, faults, 4, 6, 4.0/patterns)
+	plan, err := repro.PlanTestPoints(ctx, c, faults, 4, 6, 4.0/patterns)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("plan: %d control points, %d observation points\n\n",
 		len(plan.Control.Points), len(plan.Observe.Points))
-	mod, err := curve(plan.Modified, faults)
+	mod, err := curve(ctx, plan.Modified, faults)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func main() {
 
 	// Whatever the modified circuit still misses gets deterministic
 	// top-up vectors from PODEM — the classic hybrid BIST arrangement.
-	res, err := repro.Simulate(plan.Modified, faults, repro.NewLFSR(0xbadc0de),
+	res, err := repro.Simulate(ctx, plan.Modified, faults, repro.NewLFSR(0xbadc0de),
 		repro.SimOptions{MaxPatterns: patterns, DropFaults: true})
 	if err != nil {
 		log.Fatal(err)
@@ -60,7 +63,7 @@ func main() {
 		fmt.Println("\nno faults left for deterministic top-up")
 		return
 	}
-	ts, err := repro.GenerateTests(plan.Modified, remaining, repro.ATPGOptions{})
+	ts, err := repro.GenerateTests(ctx, plan.Modified, remaining, repro.ATPGOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,8 +74,8 @@ func main() {
 }
 
 // curve returns 16 coverage samples along the BIST session.
-func curve(c *repro.Circuit, faults []repro.Fault) ([]float64, error) {
-	res, err := repro.Simulate(c, faults, repro.NewLFSR(0xbadc0de),
+func curve(ctx context.Context, c *repro.Circuit, faults []repro.Fault) ([]float64, error) {
+	res, err := repro.Simulate(ctx, c, faults, repro.NewLFSR(0xbadc0de),
 		repro.SimOptions{MaxPatterns: patterns, DropFaults: true})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,13 +16,15 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	c := repro.Multiplier(4)
 	fmt.Println(c)
 	faults := repro.FaultsDominance(c)
 	fmt.Printf("dictionary fault list (dominance collapsed): %d\n", len(faults))
 
 	// Deterministic test set: PODEM + static compaction.
-	ts, err := repro.GenerateTests(c, faults, repro.ATPGOptions{})
+	ts, err := repro.GenerateTests(ctx, c, faults, repro.ATPGOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// U = {0..7}; can it be covered with K sets?
 	sc := repro.SetCover{
 		NumElements: 8,
@@ -45,7 +48,7 @@ func main() {
 		c.HasReconvergentFanout())
 
 	// Without observation points nothing is detectable.
-	res, err := repro.Simulate(c, red.TargetFaults, repro.NewLFSR(1),
+	res, err := repro.Simulate(ctx, c, red.TargetFaults, repro.NewLFSR(1),
 		repro.SimOptions{MaxPatterns: 4096, DropFaults: true})
 	if err != nil {
 		log.Fatal(err)

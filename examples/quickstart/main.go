@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A 16-wide AND cone is the canonical random-pattern-resistant
 	// structure: its output stuck-at-0 needs the all-ones input pattern,
 	// which uniform random patterns hit once in 65536 tries.
@@ -23,7 +26,7 @@ func main() {
 
 	// Baseline: 4096 LFSR patterns.
 	opts := repro.SimOptions{MaxPatterns: 4096, DropFaults: true}
-	before, err := repro.Simulate(c, faults, repro.NewLFSR(1), opts)
+	before, err := repro.Simulate(ctx, c, faults, repro.NewLFSR(1), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +41,7 @@ func main() {
 
 	// Plan 2 control points + 2 observation points targeting faults that
 	// need at least detection probability 4/4096 to be caught reliably.
-	plan, err := repro.PlanTestPoints(c, faults, 2, 2, 4.0/4096)
+	plan, err := repro.PlanTestPoints(ctx, c, faults, 2, 2, 4.0/4096)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func main() {
 
 	// Same patterns, modified circuit. The fault list still refers to the
 	// original gates — insertion preserves their IDs.
-	after, err := repro.Simulate(plan.Modified, faults, repro.NewLFSR(1), opts)
+	after, err := repro.Simulate(ctx, plan.Modified, faults, repro.NewLFSR(1), opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,8 @@ import (
 const patterns = 2048
 
 func main() {
+	ctx := context.Background()
+
 	// An equality comparator: out = (a == b) over 12-bit operands. The
 	// XNOR/AND-tree structure makes the output side random-pattern
 	// resistant (P(a==b) = 2^-12).
@@ -35,7 +38,7 @@ func main() {
 		patterns, 100*before.Coverage(), len(before.Aliased))
 
 	// Insert test points and re-run the identical session.
-	plan, err := repro.PlanTestPoints(c, faults, 2, 3, 4.0/patterns)
+	plan, err := repro.PlanTestPoints(ctx, c, faults, 2, 3, 4.0/patterns)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func main() {
 
 	// Cross-check the signature verdicts against direct PO comparison:
 	// they must agree except where the result reports aliasing.
-	direct, err := repro.Simulate(plan.Modified, faults, repro.NewLFSR(0xace1),
+	direct, err := repro.Simulate(ctx, plan.Modified, faults, repro.NewLFSR(0xace1),
 		repro.SimOptions{MaxPatterns: patterns, DropFaults: true})
 	if err != nil {
 		log.Fatal(err)

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -13,7 +14,7 @@ func generateAllocs(t *testing.T, width int) float64 {
 	c := gen.ParityTree(width)
 	f := fault.Universe(c)[0]
 	return testing.AllocsPerRun(20, func() {
-		if _, err := Generate(c, f, Options{}); err != nil {
+		if _, err := Generate(context.Background(), c, f, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

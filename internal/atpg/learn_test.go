@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -32,11 +33,11 @@ func TestLearnedSearchAgreesAndNeverBacktracksMore(t *testing.T) {
 			eng := implic.New(c, implic.Options{})
 			baseTotal, learnTotal := 0, 0
 			for _, f := range fault.Universe(c) {
-				base, err := Generate(c, f, Options{})
+				base, err := Generate(context.Background(), c, f, Options{})
 				if err != nil {
 					t.Fatalf("baseline %v: %v", f, err)
 				}
-				learned, err := Generate(c, f, Options{Learn: eng})
+				learned, err := Generate(context.Background(), c, f, Options{Learn: eng})
 				if err != nil {
 					t.Fatalf("learned %v: %v", f, err)
 				}
@@ -61,7 +62,7 @@ func TestLearnedVectorsStillDetect(t *testing.T) {
 	c := gen.RandomDAG(23, 8, 90, gen.DAGOptions{})
 	eng := implic.New(c, implic.Options{})
 	for _, f := range fault.Universe(c) {
-		res, err := Generate(c, f, Options{Learn: eng})
+		res, err := Generate(context.Background(), c, f, Options{Learn: eng})
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
 		}
@@ -78,7 +79,7 @@ func TestLearnOnMismatchedCircuitIsIgnored(t *testing.T) {
 	c := gen.C17()
 	other := implic.New(gen.ParityTree(4), implic.Options{})
 	f := fault.Fault{Gate: c.Outputs()[0], Pin: -1, Stuck: false}
-	res, err := Generate(c, f, Options{Learn: other})
+	res, err := Generate(context.Background(), c, f, Options{Learn: other})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}

@@ -119,24 +119,13 @@ type engine struct {
 	// search decision and backtrack, so per-call allocation here is what
 	// the allocs/op regression test (and golint G007) forbid.
 	inG, inB []Value
-
-	// done aborts the search when it becomes readable (nil = never);
-	// ctxErr records ctx.Err() when that happened.
-	ctx    context.Context
-	done   <-chan struct{}
-	ctxErr error
 }
 
-// Generate runs PODEM for a single stuck-at fault.
-func Generate(c *netlist.Circuit, f fault.Fault, opts Options) (*Result, error) {
-	return GenerateContext(context.Background(), c, f, opts)
-}
-
-// GenerateContext is Generate with cancellation: the context is polled
-// once per decision of the search loop, so an expired or cancelled
-// context stops the search within one imply/backtrace step. It returns
-// nil and ctx.Err() when cancelled mid-search.
-func GenerateContext(ctx context.Context, c *netlist.Circuit, f fault.Fault, opts Options) (*Result, error) {
+// Generate runs PODEM for a single stuck-at fault. The context is
+// checked once per decision of the search loop, so an expired or
+// cancelled context stops the search within one imply/backtrace step;
+// Generate then returns nil and ctx.Err().
+func Generate(ctx context.Context, c *netlist.Circuit, f fault.Fault, opts Options) (*Result, error) {
 	if f.Gate < 0 || f.Gate >= c.NumGates() {
 		return nil, fmt.Errorf("atpg: fault %v: gate out of range", f)
 	}
@@ -156,8 +145,6 @@ func GenerateContext(ctx context.Context, c *netlist.Circuit, f fault.Fault, opt
 		limit:  limit,
 		inG:    make([]Value, 0, 8),
 		inB:    make([]Value, 0, 8),
-		ctx:    ctx,
-		done:   ctx.Done(),
 	}
 	if opts.Learn != nil && opts.Learn.Circuit() == c {
 		e.learn = opts.Learn
@@ -172,9 +159,9 @@ func GenerateContext(ctx context.Context, c *netlist.Circuit, f fault.Fault, opt
 			}
 		}
 	}
-	ok, aborted := e.search()
-	if e.ctxErr != nil {
-		return nil, e.ctxErr
+	ok, aborted, err := e.search(ctx)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{Backtracks: e.backs}
 	switch {
@@ -492,8 +479,9 @@ func (e *engine) backtrace(sig int, val Value) (int, Value) {
 	return -1, X
 }
 
-// search is the PODEM decision loop.
-func (e *engine) search() (found, aborted bool) {
+// search is the PODEM decision loop. It returns ctx.Err() once ctx is
+// done, checked before each decision.
+func (e *engine) search(ctx context.Context) (found, aborted bool, err error) {
 	type decision struct {
 		input   int
 		value   Value
@@ -502,14 +490,11 @@ func (e *engine) search() (found, aborted bool) {
 	var stack []decision
 	e.imply()
 	for {
-		select {
-		case <-e.done:
-			e.ctxErr = e.ctx.Err()
-			return false, true
-		default:
+		if err := ctx.Err(); err != nil {
+			return false, false, err
 		}
 		if e.detected() {
-			return true, false
+			return true, false, nil
 		}
 		if !e.pruned() {
 			sig, val, ok := e.objective()
@@ -527,13 +512,13 @@ func (e *engine) search() (found, aborted bool) {
 		// Conflict or no objective: backtrack.
 		for {
 			if len(stack) == 0 {
-				return false, false
+				return false, false, nil
 			}
 			top := &stack[len(stack)-1]
 			if !top.flipped {
 				e.backs++
 				if e.backs > e.limit {
-					return false, true
+					return false, true, nil
 				}
 				top.flipped = true
 				top.value = top.value.invert()
@@ -566,12 +551,13 @@ func GenerateTests(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Tes
 	return GenerateTestsContext(context.Background(), c, faults, opts)
 }
 
-// GenerateTestsContext is GenerateTests with cancellation: the context is
-// checked between per-fault PODEM runs and inside each run's decision
-// loop. On cancellation the partial TestSet built so far (every vector in
-// it is a complete, valid test) is returned alongside ctx.Err(). When
-// ctx carries a progress.Func, one "faults" sample is emitted before
-// each PODEM run, counting faults already resolved.
+// GenerateTestsContext is GenerateTests under ctx: the context is checked
+// inside each per-fault PODEM run's decision loop, and once per remaining
+// fault while a new vector's detections are dropped. On cancellation the
+// partial TestSet built so far (every vector in it is a complete, valid
+// test) is returned alongside ctx.Err(). When ctx carries a
+// progress.Func, one "faults" sample is emitted before each PODEM run,
+// counting faults already resolved.
 func GenerateTestsContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opts Options) (*TestSet, error) {
 	if len(faults) == 0 {
 		return nil, ErrNoFaults
@@ -584,7 +570,7 @@ func GenerateTestsContext(ctx context.Context, c *netlist.Circuit, faults []faul
 			report("faults", int64(len(faults)-len(remaining)), int64(len(faults)))
 		}
 		target := remaining[0]
-		res, err := GenerateContext(ctx, c, target, opts)
+		res, err := Generate(ctx, c, target, opts)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return ts, err
 		}
@@ -600,9 +586,13 @@ func GenerateTestsContext(ctx context.Context, c *netlist.Circuit, faults []faul
 			remaining = remaining[1:]
 		case Detected:
 			ts.Vectors = append(ts.Vectors, res.Vector)
-			// Drop everything this vector detects.
+			// Drop everything this vector detects. Each check simulates
+			// the whole circuit, so a long fault list takes a while.
 			kept := remaining[:0]
 			for _, f := range remaining {
+				if err := ctx.Err(); err != nil {
+					return ts, err
+				}
 				if vectorDetects(c, f, res.Vector) {
 					ts.Detected = append(ts.Detected, f)
 				} else {

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -62,7 +63,7 @@ func oracleDetectable(c *netlist.Circuit, f fault.Fault) bool {
 func checkPODEMComplete(t *testing.T, c *netlist.Circuit) {
 	t.Helper()
 	for _, f := range fault.Universe(c) {
-		res, err := Generate(c, f, Options{})
+		res, err := Generate(context.Background(), c, f, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name(c), err)
 		}
@@ -116,7 +117,7 @@ func TestPODEMFindsRedundancy(t *testing.T) {
 	z := b.OrGate("z", a, g)
 	b.MarkOutput(z)
 	c := b.MustBuild()
-	res, err := Generate(c, fault.Fault{Gate: g, Pin: -1, Stuck: false}, Options{})
+	res, err := Generate(context.Background(), c, fault.Fault{Gate: g, Pin: -1, Stuck: false}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +193,10 @@ func TestGenerateTestsEmptyFaultList(t *testing.T) {
 
 func TestGenerateBadFault(t *testing.T) {
 	c := gen.C17()
-	if _, err := Generate(c, fault.Fault{Gate: 999, Pin: -1}, Options{}); err == nil {
+	if _, err := Generate(context.Background(), c, fault.Fault{Gate: 999, Pin: -1}, Options{}); err == nil {
 		t.Error("expected error for out-of-range fault")
 	}
-	if _, err := Generate(c, fault.Fault{Gate: 5, Pin: 7}, Options{}); err == nil {
+	if _, err := Generate(context.Background(), c, fault.Fault{Gate: 5, Pin: 7}, Options{}); err == nil {
 		t.Error("expected error for out-of-range pin")
 	}
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,7 @@ import (
 
 func TestLintCircuitCleanAndBroken(t *testing.T) {
 	var sb strings.Builder
-	if err := LintCircuit(gen.C17(), &sb); err != nil {
+	if err := LintCircuit(context.Background(), gen.C17(), &sb); err != nil {
 		t.Errorf("c17 must pass lint: %v", err)
 	}
 
@@ -23,7 +24,7 @@ func TestLintCircuitCleanAndBroken(t *testing.T) {
 	}
 
 	sb.Reset()
-	if _, err := LoadCircuitChecked(stuck, "", true, &sb); err == nil {
+	if _, err := LoadCircuitChecked(context.Background(), stuck, "", true, &sb); err == nil {
 		t.Error("expected lint rejection of the stuck-constant circuit")
 	}
 	if !strings.Contains(sb.String(), "C001") {
@@ -31,7 +32,7 @@ func TestLintCircuitCleanAndBroken(t *testing.T) {
 	}
 
 	// Without lint the same file loads fine.
-	if _, err := LoadCircuitChecked(stuck, "", false, &sb); err != nil {
+	if _, err := LoadCircuitChecked(context.Background(), stuck, "", false, &sb); err != nil {
 		t.Errorf("load without lint: %v", err)
 	}
 }
@@ -65,7 +66,7 @@ func TestLoadCircuitCheckedExitCodes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var sb strings.Builder
-			_, err := LoadCircuitChecked(tc.benchPath, tc.genSpec, tc.runLint, &sb)
+			_, err := LoadCircuitChecked(context.Background(), tc.benchPath, tc.genSpec, tc.runLint, &sb)
 			if err == nil {
 				t.Fatal("expected an error")
 			}

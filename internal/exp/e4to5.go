@@ -19,7 +19,7 @@ import (
 func testableFaults(ctx context.Context, c *netlist.Circuit) ([]fault.Fault, error) {
 	var out []fault.Fault
 	for _, f := range fault.CollapsedUniverse(c) {
-		res, err := atpg.GenerateContext(ctx, c, f, atpg.Options{BacktrackLimit: 5000})
+		res, err := atpg.Generate(ctx, c, f, atpg.Options{BacktrackLimit: 5000})
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr

@@ -246,8 +246,8 @@ func Run(c *netlist.Circuit, faults []fault.Fault, src pattern.Source, opts Opti
 	return RunContext(context.Background(), c, faults, src, opts)
 }
 
-// RunContext is Run with cancellation: the done channel is polled once
-// per 64-pattern block, so an expired or cancelled context stops the run
+// RunContext is Run under ctx: the context is checked once per
+// 64-pattern block, so an expired or cancelled context stops the run
 // within one batch of work. On cancellation the partial Result
 // accumulated over the completed blocks is returned alongside ctx.Err();
 // every FirstDetect entry in it is valid (detection indices never depend
@@ -276,21 +276,15 @@ func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, s
 	active := make([]fault.Fault, len(faults))
 	copy(active, faults)
 
-	// ctx.Done() is nil for context.Background(), so the polls below
-	// compile to a never-ready select arm and cost nothing on the
-	// non-cancellable path. The progress reporter is hoisted here so the
-	// measured loop performs a nil check per block, never a context
-	// lookup.
-	done := ctx.Done()
+	// The progress reporter is hoisted here so the measured loop performs
+	// a nil check per block, never a context lookup.
 	report := progress.FromContext(ctx)
 	words := make([]uint64, c.NumInputs())
 	base := 0
 	for base < opts.MaxPatterns && len(active) > 0 {
-		select {
-		case <-done:
+		if err := ctx.Err(); err != nil {
 			res.Patterns = base
-			return res, ctx.Err()
-		default:
+			return res, err
 		}
 		if report != nil {
 			report("patterns", int64(base), int64(opts.MaxPatterns))

@@ -25,15 +25,11 @@ import (
 // speedup approaches the worker count only while per-fault propagation
 // dominates (large fault lists, early in a run before dropping thins
 // them); tiny workloads are better served by Run.
-func RunParallel(c *netlist.Circuit, faults []fault.Fault, src func() pattern.Source, workers int, opts Options) (*Result, error) {
-	return RunParallelContext(context.Background(), c, faults, src, workers, opts)
-}
-
-// RunParallelContext is RunParallel with cancellation: every worker polls
-// the context per pattern block (see RunContext). On cancellation the
-// workers' partial results are merged and returned alongside ctx.Err();
-// any other worker error discards the results as before.
-func RunParallelContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, src func() pattern.Source, workers int, opts Options) (*Result, error) {
+//
+// Every worker checks ctx once per pattern block (see RunContext). On
+// cancellation the workers' partial results are merged and returned
+// alongside ctx.Err(); any other worker error discards the results.
+func RunParallel(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, src func() pattern.Source, workers int, opts Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -18,7 +19,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			par, err := RunParallel(c, faults, func() pattern.Source { return pattern.NewLFSR(3) }, workers, opts)
+			par, err := RunParallel(context.Background(), c, faults, func() pattern.Source { return pattern.NewLFSR(3) }, workers, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +48,7 @@ func TestParallelCountDetections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunParallel(c, faults, func() pattern.Source { return pattern.NewLFSR(9) }, 4, opts)
+	par, err := RunParallel(context.Background(), c, faults, func() pattern.Source { return pattern.NewLFSR(9) }, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestParallelCountDetections(t *testing.T) {
 func TestParallelMoreWorkersThanFaults(t *testing.T) {
 	c := gen.C17()
 	faults := fault.CollapsedUniverse(c)[:3]
-	par, err := RunParallel(c, faults, func() pattern.Source { return pattern.NewLFSR(1) }, 64,
+	par, err := RunParallel(context.Background(), c, faults, func() pattern.Source { return pattern.NewLFSR(1) }, 64,
 		Options{MaxPatterns: 128, DropFaults: true})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestParallelMoreWorkersThanFaults(t *testing.T) {
 func TestParallelDefaultWorkers(t *testing.T) {
 	c := gen.C17()
 	faults := fault.CollapsedUniverse(c)
-	if _, err := RunParallel(c, faults, func() pattern.Source { return pattern.NewLFSR(1) }, 0,
+	if _, err := RunParallel(context.Background(), c, faults, func() pattern.Source { return pattern.NewLFSR(1) }, 0,
 		Options{MaxPatterns: 128, DropFaults: true}); err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,8 @@ var impureAllowlist = map[string][]string{
 // time. Allocation sites inside those loops — and in everything the
 // loops call, transitively — are hot-path findings. The table names the
 // innermost loop owners deliberately: planners and parallel drivers
-// above them (GenerateTestsContext, RunParallelContext, …) do per-run
-// setup that is allowed to allocate. Matching is by function name
+// above them (GenerateTestsContext, RunParallel, …) do per-run setup
+// that is allowed to allocate. Matching is by function name
 // within the package (methods included), which is unambiguous for the
 // pinned set and keeps the table free of receiver spellings. The
 // testdata entry keeps the rule's golden fixture honest.
@@ -283,7 +283,7 @@ var ctxLoopExemptPackages = []struct {
 	{"internal/testability",
 		"COP fixpoints are bounded by topological depth; called per candidate between planner polls"},
 	{"internal/lint",
-		"lint rules run single-pass worklists bounded by gate count; the implication-based rules reach cancellation through implic.NewContext"},
+		"lint rules run single-pass worklists bounded by gate count; the implication pass (S001/S002) builds its engine with implic.NewContext and sweeps it with Engine.Redundant under the caller's context, both of which poll"},
 }
 
 // ctxLoopPackageExempt reports whether the package is vetted out of

@@ -59,7 +59,7 @@ func TestFixturesMatchGoldens(t *testing.T) {
 	}{
 		{"g001", RuleNondetIteration, 3},
 		{"g002", RuleExitContract, 3},
-		{"g003", RuleContextDiscipline, 4},
+		{"g003", RuleContextDiscipline, 5},
 		{"g004", RuleImpureEngine, 3},
 		{"g007", RuleAllocHotPath, 2},
 		{"g008", RuleGoroutineDiscipline, 2},

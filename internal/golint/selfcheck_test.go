@@ -94,7 +94,7 @@ func TestHotLoopEntriesPinned(t *testing.T) {
 	if declared != total {
 		t.Errorf("hotLoopEntries declares %d functions, want %d — update this pin together with the table", declared, total)
 	}
-	if isHotLoopEntry("repro/internal/fsim", "RunParallelContext") {
+	if isHotLoopEntry("repro/internal/fsim", "RunParallel") {
 		t.Error("the parallel driver is per-run setup, never a measured-loop entry")
 	}
 	if isHotLoopEntry("repro/internal/atpg", "GenerateTestsContext") {

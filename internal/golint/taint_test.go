@@ -165,7 +165,7 @@ func TestDeletingPollFiresG012(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a mutated module copy")
 	}
-	root := mutateModule(t, "internal/implic/dominator.go", "e.pollBuild()\n", "\n")
+	root := mutateModule(t, "internal/implic/dominator.go", "e.stopped()", "false")
 	found := false
 	for _, f := range runRuleOn(t, root, "g012") {
 		if f.Severity == Error && strings.Contains(f.Message, "computeDominators") {

@@ -1,6 +1,7 @@
 package implic_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -58,7 +59,7 @@ func benchmarkPODEM(b *testing.B, c *netlist.Circuit, eng *implic.Engine) {
 	for i := 0; i < b.N; i++ {
 		backs = 0
 		for _, f := range faults {
-			res, err := atpg.Generate(c, f, atpg.Options{Learn: eng})
+			res, err := atpg.Generate(context.Background(), c, f, atpg.Options{Learn: eng})
 			if err != nil {
 				b.Fatal(err)
 			}

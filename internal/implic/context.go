@@ -6,47 +6,32 @@ import (
 	"repro/internal/netlist"
 )
 
-// Cancellation support for the engine build. Constructing the database
-// is the expensive phase — a dominator fixpoint plus LearnRounds+1
-// implication sweeps over every literal — and it runs on the serve
-// request path (directly for /v1/lint's static rules, and for /v1/atpg
-// when learned-implication pruning is requested). Like the tpi
-// planners, cancellation aborts via a private panic value recovered in
-// the exported wrapper, so the recursive/worklist internals need no
-// error plumbing. Queries after a successful build are read-only table
-// lookups and never poll.
-type ctxAbort struct{ err error }
+// Cancellation of the engine build. Constructing the database is the
+// expensive phase — a dominator fixpoint plus LearnRounds+1 implication
+// sweeps over every literal — and it runs on the serve request path:
+// /v1/lint's static rules, the hybrid /v1/plan pre-prune and /v1/atpg
+// with learned-implication pruning all build an engine under the request
+// context, then run the redundancy sweep (Redundant) under it too. The
+// dominator fixpoint and the propagation worklist check the build
+// context; the first error sticks in Engine.err and every loop above
+// them unwinds on it. Queries after a build never see its context.
 
-// pollBuild panics with ctxAbort when the build context is done. The
-// done channel is nil outside NewContext (and for context.Background),
-// making the select arm never ready — the non-cancellable path pays one
-// cheap select.
-func (e *Engine) pollBuild() {
-	select {
-	case <-e.buildDone:
-		panic(ctxAbort{e.buildCtx.Err()})
-	default:
+// NewContext builds the engine like New but honors ctx: once ctx is done
+// the build stops and returns a nil engine and ctx.Err().
+func NewContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Engine, error) {
+	e := build(ctx, c, opts)
+	if e.err != nil {
+		return nil, e.err
 	}
-}
-
-// recoverCtx converts a ctxAbort panic into *err; any other panic is
-// re-raised.
-func recoverCtx(err *error) {
-	switch r := recover().(type) {
-	case nil:
-	case ctxAbort:
-		*err = r.err
-	default:
-		panic(r)
-	}
-}
-
-// NewContext builds the engine like New but honors ctx: the dominator
-// fixpoint, the implication sweeps, and the propagation worklists poll
-// the context and abort with its error once it is done. The returned
-// engine is nil on abort.
-func NewContext(ctx context.Context, c *netlist.Circuit, opts Options) (e *Engine, err error) {
-	defer recoverCtx(&err)
-	e = build(ctx, c, opts)
 	return e, nil
+}
+
+// stopped checks the build context and reports whether the build must
+// unwind, keeping the first context error in e.err. After the build
+// e.ctx is nil and it never stops.
+func (e *Engine) stopped() bool {
+	if e.err == nil && e.ctx != nil {
+		e.err = e.ctx.Err()
+	}
+	return e.err != nil
 }

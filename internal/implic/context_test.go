@@ -2,21 +2,8 @@ package implic
 
 import (
 	"context"
-	"errors"
 	"testing"
 )
-
-// TestNewContextCanceledBeforeBuild: a context that is already done
-// aborts the build before any sweep and surfaces the context's error.
-func TestNewContextCanceledBeforeBuild(t *testing.T) {
-	c, _, _ := indirectCircuit()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e, err := NewContext(ctx, c, Options{})
-	if e != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("NewContext on a canceled context: engine=%v err=%v, want nil engine and context.Canceled", e, err)
-	}
-}
 
 // TestNewContextMatchesNew: threading a live context through the build
 // must not change what is learned.

@@ -4,6 +4,7 @@
 package implic_test
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -49,9 +50,12 @@ func crossCircuits(t *testing.T) map[string]*netlist.Circuit {
 func TestRedundantFaultsArePODEMUntestable(t *testing.T) {
 	for name, c := range crossCircuits(t) {
 		t.Run(name, func(t *testing.T) {
-			e := implic.New(c, implic.Options{})
-			for _, r := range e.Redundant() {
-				res, err := atpg.Generate(c, r.F, atpg.Options{BacktrackLimit: 1 << 20})
+			red, err := implic.New(c, implic.Options{}).Redundant(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range red {
+				res, err := atpg.Generate(context.Background(), c, r.F, atpg.Options{BacktrackLimit: 1 << 20})
 				if err != nil {
 					t.Fatalf("PODEM on %v: %v", r.F, err)
 				}

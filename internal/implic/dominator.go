@@ -89,7 +89,9 @@ func (e *Engine) computeDominators() {
 	idom[sink] = sink
 	intersect := func(a, b int) int {
 		for a != b {
-			e.pollBuild()
+			if e.stopped() {
+				return a
+			}
 			for rpo[a] > rpo[b] {
 				a = idom[a]
 			}
@@ -100,7 +102,9 @@ func (e *Engine) computeDominators() {
 		return a
 	}
 	for changed := true; changed; {
-		e.pollBuild()
+		if e.stopped() {
+			break
+		}
 		changed = false
 		for _, b := range order[1:] {
 			newIdom := -1

@@ -89,27 +89,26 @@ type Engine struct {
 	gq      []int32
 	inq     []bool
 
-	// build-time cancellation (context.go); cleared before build returns
-	// so post-build queries never observe a dead request context.
-	buildCtx  context.Context
-	buildDone <-chan struct{}
+	// build-time cancellation (context.go): ctx is the build context,
+	// nil once the build returns, and err the first error it reported.
+	ctx context.Context
+	err error
 }
 
 // New builds the engine: dominators, then LearnRounds+1 implication
 // sweeps over every literal with contrapositive learning in between.
 // Use NewContext to bound the build by a request deadline.
 func New(c *netlist.Circuit, opts Options) *Engine {
-	e, err := NewContext(context.Background(), c, opts)
-	if err != nil {
-		panic(err) // unreachable: the background context is never done
-	}
-	return e
+	return build(context.Background(), c, opts)
 }
 
-// build is the engine constructor body shared by New and NewContext.
+// build constructs the engine under ctx: dominators, then the learning
+// sweeps. Once ctx is done it stops early and leaves the context's
+// error in e.err. It clears e.ctx before returning.
 func build(ctx context.Context, c *netlist.Circuit, opts Options) *Engine {
 	n := c.NumGates()
 	e := &Engine{
+		ctx:     ctx,
 		c:       c,
 		imp:     make([][]Lit, 2*n),
 		learned: make([][]Lit, 2*n),
@@ -124,12 +123,6 @@ func build(ctx context.Context, c *netlist.Circuit, opts Options) *Engine {
 	for i := range e.val {
 		e.val[i] = -1
 	}
-	e.buildCtx = ctx
-	e.buildDone = ctx.Done()
-	defer func() {
-		e.buildCtx = nil
-		e.buildDone = nil
-	}()
 	e.computeDominators()
 
 	rounds := opts.LearnRounds
@@ -139,16 +132,16 @@ func build(ctx context.Context, c *netlist.Circuit, opts Options) *Engine {
 	if rounds < 0 {
 		rounds = 0
 	}
-	for iter := 0; ; iter++ {
-		e.pollBuild()
+	for iter := 0; e.err == nil; iter++ {
 		newConst := e.sweep()
-		if iter >= rounds {
+		if iter >= rounds || e.err != nil {
 			break
 		}
 		if !e.learn() && !newConst {
 			break
 		}
 	}
+	e.ctx = nil
 	return e
 }
 
@@ -217,7 +210,7 @@ func (e *Engine) Implies(from, to Lit) bool {
 // proven.
 func (e *Engine) sweep() (newConst bool) {
 	n := e.c.NumGates()
-	for sig := 0; sig < n; sig++ {
+	for sig := 0; sig < n && e.err == nil; sig++ {
 		for v := int8(0); v <= 1; v++ {
 			l := MkLit(sig, v == 1)
 			if cv := e.consts[sig]; cv >= 0 && cv != v {
@@ -323,13 +316,14 @@ func (e *Engine) run(seeds ...Lit) (conflict bool) {
 		}
 		assign(s.Signal(), v)
 	}
-	// Poll the build context every 1024 worklist steps: propagation is
-	// the hot inner loop of the sweeps, so the select is amortized the
-	// same way fsim amortizes its per-block poll.
-	steps := 0
-	for !conflict && (len(pending) > 0 || len(e.gq) > 0) {
-		if steps++; steps&1023 == 0 {
-			e.pollBuild()
+	// Check the build context on the first worklist step and every 1024
+	// after: propagation is the hot inner loop of the sweeps, so the
+	// check is amortized over steps the way fsim amortizes it over a
+	// pattern block. A stopped build leaves the propagation unfinished;
+	// the sweep discards it.
+	for steps := 0; !conflict && (len(pending) > 0 || len(e.gq) > 0); steps++ {
+		if steps&1023 == 0 && e.stopped() {
+			break
 		}
 		if len(pending) > 0 {
 			l := pending[len(pending)-1]
@@ -464,14 +458,14 @@ type Stats struct {
 	Redundant    int // stuck-at faults proven untestable
 }
 
-// Stats computes the summary (forcing the redundancy pass).
+// Stats computes the summary (forcing an uncancelled redundancy pass).
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Gates:        e.c.NumGates(),
 		Learned:      e.nLearn,
 		Implications: e.NumImplications(),
 		Constants:    len(e.Constants()),
-		Redundant:    len(e.Redundant()),
+		Redundant:    len(e.RedundantFaults()),
 	}
 	for sig := 0; sig < e.c.NumGates(); sig++ {
 		if !e.Observable(sig) {

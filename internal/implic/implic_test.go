@@ -188,7 +188,7 @@ func TestRedundantDominatorBlocked(t *testing.T) {
 
 	red := e.RedundantSet()
 	if !red[fault.Fault{Gate: n1, Pin: -1, Stuck: false}] {
-		t.Errorf("n1 s-a-0 must be statically redundant; got %v", e.Redundant())
+		t.Errorf("n1 s-a-0 must be statically redundant; got %v", e.RedundantFaults())
 	}
 	if red[fault.Fault{Gate: n1, Pin: -1, Stuck: true}] {
 		t.Errorf("n1 s-a-1 is testable (a=0, b=1) and must not be reported")
@@ -198,7 +198,7 @@ func TestRedundantDominatorBlocked(t *testing.T) {
 func TestRedundantNoneOnC17(t *testing.T) {
 	// c17 is fully testable: the pass must stay silent.
 	e := New(gen.C17(), Options{})
-	if r := e.Redundant(); len(r) != 0 {
+	if r := e.RedundantFaults(); len(r) != 0 {
 		t.Errorf("c17 has no redundant faults, engine claims %v", r)
 	}
 }

@@ -1,6 +1,7 @@
 package implic
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fault"
@@ -34,41 +35,52 @@ type RedundantFault struct {
 }
 
 // Redundant returns the statically-proven-untestable faults of the full
-// uncollapsed universe, in universe order. Computed once and cached.
-func (e *Engine) Redundant() []RedundantFault {
-	if e.redundant == nil {
-		e.redundant = e.computeRedundant()
+// uncollapsed universe, in universe order. The sweep checks ctx once per
+// fault and returns ctx.Err() once it is done; a finished sweep is
+// cached, a cancelled one leaves nothing behind.
+func (e *Engine) Redundant(ctx context.Context) ([]RedundantFault, error) {
+	if e.redundant != nil {
+		return e.redundant, nil
 	}
-	return e.redundant
+	out := []RedundantFault{}
+	cone := make([]bool, e.c.NumGates())
+	var marked []int
+	for _, f := range fault.Universe(e.c) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if reason, ok := e.redundantReason(f, cone, &marked); ok {
+			out = append(out, RedundantFault{F: f, Reason: reason})
+		}
+	}
+	e.redundant = out
+	return out, nil
 }
 
-// RedundantFaults returns just the faults of Redundant.
+// RedundantFaults returns just the faults of an uncancelled Redundant
+// sweep.
 func (e *Engine) RedundantFaults() []fault.Fault {
-	det := e.Redundant()
-	out := make([]fault.Fault, len(det))
-	for i, r := range det {
+	red, _ := e.Redundant(context.Background()) // never fails: Background is never done
+	out := make([]fault.Fault, len(red))
+	for i, r := range red {
 		out[i] = r.F
 	}
 	return out
 }
 
-// RedundantSet returns the redundant faults as a membership set.
+// RedundantSet returns the faults of an uncancelled Redundant sweep as a
+// membership set.
 func (e *Engine) RedundantSet() map[fault.Fault]bool {
-	out := make(map[fault.Fault]bool)
-	for _, r := range e.Redundant() {
-		out[r.F] = true
-	}
-	return out
+	return faultSet(e.Redundant(context.Background()))
 }
 
-func (e *Engine) computeRedundant() []RedundantFault {
-	out := []RedundantFault{}
-	cone := make([]bool, e.c.NumGates())
-	var marked []int
-	for _, f := range fault.Universe(e.c) {
-		if reason, ok := e.redundantReason(f, cone, &marked); ok {
-			out = append(out, RedundantFault{F: f, Reason: reason})
-		}
+// faultSet indexes a redundancy sweep by fault. It takes the sweep's
+// error only so RedundantSet can forward in one statement; a sweep under
+// context.Background never returns one.
+func faultSet(red []RedundantFault, _ error) map[fault.Fault]bool {
+	out := make(map[fault.Fault]bool, len(red))
+	for _, r := range red {
+		out[r.F] = true
 	}
 	return out
 }

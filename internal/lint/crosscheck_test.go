@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -42,14 +43,14 @@ func TestUntestableFaultsAreRedundant(t *testing.T) {
 
 	total := 0
 	for _, c := range circuits {
-		r := Analyze(c, Options{})
+		r := analyze(t, c, Options{})
 		un := r.Untestable()
 		if len(un) == 0 {
 			t.Errorf("%s: expected at least one untestable fault", c.Name())
 			continue
 		}
 		for _, f := range un {
-			res, err := atpg.Generate(c, f, atpg.Options{BacktrackLimit: 100000})
+			res, err := atpg.Generate(context.Background(), c, f, atpg.Options{BacktrackLimit: 100000})
 			if err != nil {
 				t.Errorf("%s: PODEM on %s: %v", c.Name(), f.Name(c), err)
 				continue

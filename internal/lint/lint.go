@@ -26,6 +26,7 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -271,8 +272,10 @@ func (r *Report) ByRule(rule string) []Finding {
 }
 
 // Analyze runs every lint pass over the circuit and returns the ordered
-// report. The circuit is not modified.
-func Analyze(c *netlist.Circuit, opts Options) *Report {
+// report. The circuit is not modified. The implication pass (S001/S002)
+// builds and sweeps its engine under ctx; once ctx is done Analyze
+// returns nil and ctx.Err().
+func Analyze(ctx context.Context, c *netlist.Circuit, opts Options) (*Report, error) {
 	opts.defaults()
 	r := &Report{Circuit: c.Name()}
 
@@ -286,18 +289,20 @@ func Analyze(c *netlist.Circuit, opts Options) *Report {
 			Message:  fmt.Sprintf("circuit violates netlist invariants: %v", err),
 			Hint:     "rebuild the circuit through netlist.Builder",
 		})
-		return r
+		return r, nil
 	}
 
 	checkHygiene(c, opts, r)
 	checkConstants(c, r)
-	checkStatic(c, opts, r)
+	if err := checkStatic(ctx, c, opts, r); err != nil {
+		return nil, err
+	}
 	checkDuplicateCones(c, r)
 	checkHotspots(c, opts, r)
 	checkStructure(c, r)
 
 	sortFindings(r.Findings)
-	return r
+	return r, nil
 }
 
 // sortFindings orders most-severe first, then by rule ID, then by signal.

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -26,6 +27,16 @@ func parseFixture(t *testing.T, name string) *netlist.Circuit {
 	return c
 }
 
+// analyze runs Analyze without a deadline, failing the test on error.
+func analyze(t *testing.T, c *netlist.Circuit, opts Options) *Report {
+	t.Helper()
+	r, err := Analyze(context.Background(), c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // stuckCircuit builds k = AND(a, NOT a), a line provably stuck at 0.
 func stuckCircuit() *netlist.Circuit {
 	b := netlist.NewBuilder("stuck")
@@ -42,7 +53,7 @@ func TestConstantLineStuckAt0(t *testing.T) {
 	c := stuckCircuit()
 	// The implication pass (S001) proves additional faults redundant;
 	// disable it to test the constant pass in isolation.
-	r := Analyze(c, Options{ImplicationGateLimit: -1})
+	r := analyze(t, c, Options{ImplicationGateLimit: -1})
 	consts := r.ByRule(RuleConstantLine)
 	if len(consts) != 1 {
 		t.Fatalf("want 1 %s finding, got %d: %v", RuleConstantLine, len(consts), r.Findings)
@@ -69,7 +80,7 @@ func TestConstantXorPair(t *testing.T) {
 	z := b.OrGate("z", x, y)   // constant 1
 	b.MarkOutput(z)
 	c := b.MustBuild()
-	r := Analyze(c, Options{})
+	r := analyze(t, c, Options{})
 	byName := map[string]bool{}
 	for _, f := range r.ByRule(RuleConstantLine) {
 		byName[f.Name] = true
@@ -94,7 +105,7 @@ func TestConstantPropagationThroughControllingInput(t *testing.T) {
 	z := b.XorGate("z", m, n)  // literal of n
 	b.MarkOutput(z)
 	c := b.MustBuild()
-	r := Analyze(c, Options{})
+	r := analyze(t, c, Options{})
 	constNames := map[string]bool{}
 	for _, f := range r.ByRule(RuleConstantLine) {
 		constNames[f.Name] = true
@@ -118,7 +129,7 @@ func TestBranchFaultsUntestableOnFanoutConstant(t *testing.T) {
 	b.MarkOutput(u)
 	b.MarkOutput(v)
 	c := b.MustBuild()
-	r := Analyze(c, Options{ImplicationGateLimit: -1})
+	r := analyze(t, c, Options{ImplicationGateLimit: -1})
 	un := r.Untestable()
 	// Stem fault plus one branch fault per consumer.
 	if len(un) != 3 {
@@ -142,7 +153,7 @@ func TestHygieneFindings(t *testing.T) {
 	z := b.AndGate("z", dup, bb)
 	b.MarkOutput(z)
 	c := b.MustBuild()
-	r := Analyze(c, Options{})
+	r := analyze(t, c, Options{})
 	if got := r.ByRule(RuleUnusedInput); len(got) != 1 || got[0].Name != "unused" {
 		t.Errorf("H001: got %v", got)
 	}
@@ -166,7 +177,7 @@ func TestHighFanoutAndDepthThresholds(t *testing.T) {
 	}
 	b.MarkOutput(prev)
 	c := b.MustBuild()
-	r := Analyze(c, Options{MaxFanout: 3, MaxDepth: 2})
+	r := analyze(t, c, Options{MaxFanout: 3, MaxDepth: 2})
 	if len(r.ByRule(RuleHighFanout)) == 0 {
 		t.Errorf("expected a high-fanout finding on b; findings: %v", r.Findings)
 	}
@@ -174,7 +185,7 @@ func TestHighFanoutAndDepthThresholds(t *testing.T) {
 		t.Errorf("expected a deep-logic finding; findings: %v", r.Findings)
 	}
 	// Disabled thresholds must silence both rules.
-	r = Analyze(c, Options{MaxFanout: -1, MaxDepth: -1})
+	r = analyze(t, c, Options{MaxFanout: -1, MaxDepth: -1})
 	if len(r.ByRule(RuleHighFanout))+len(r.ByRule(RuleDeepLogic)) != 0 {
 		t.Errorf("disabled thresholds still fired: %v", r.Findings)
 	}
@@ -184,7 +195,7 @@ func TestHighFanoutAndDepthThresholds(t *testing.T) {
 // commuted pins and collapses whole duplicated cones, not just leaf gates.
 func TestDuplicateConeTransitive(t *testing.T) {
 	c := parseFixture(t, "dupcone.bench")
-	r := Analyze(c, Options{})
+	r := analyze(t, c, Options{})
 	dups := r.ByRule(RuleDuplicateCone)
 	names := map[string]bool{}
 	for _, f := range dups {
@@ -208,7 +219,7 @@ func TestFixtureGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
-			r := Analyze(parseFixture(t, tc.file), Options{})
+			r := analyze(t, parseFixture(t, tc.file), Options{})
 			for _, rule := range tc.rules {
 				if len(r.ByRule(rule)) == 0 {
 					t.Errorf("missing rule %s; findings: %v", rule, r.Findings)
@@ -222,7 +233,7 @@ func TestFixtureGolden(t *testing.T) {
 }
 
 func TestReportOrderingAndHelpers(t *testing.T) {
-	r := Analyze(parseFixture(t, "stuck.bench"), Options{})
+	r := analyze(t, parseFixture(t, "stuck.bench"), Options{})
 	for i := 1; i < len(r.Findings); i++ {
 		if r.Findings[i].Severity > r.Findings[i-1].Severity {
 			t.Fatalf("findings not ordered by severity: %v", r.Findings)
@@ -270,7 +281,7 @@ func TestSeverityJSONRoundTrip(t *testing.T) {
 
 func TestCleanGeneratorsHaveNoErrors(t *testing.T) {
 	c := parseFixture(t, "clean.bench")
-	r := Analyze(c, Options{})
+	r := analyze(t, c, Options{})
 	if r.HasErrors() {
 		t.Errorf("c17 must lint clean: %v", r.Findings)
 	}

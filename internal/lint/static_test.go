@@ -23,7 +23,7 @@ func blockedCircuit() *netlist.Circuit {
 
 func TestStaticRedundantFinding(t *testing.T) {
 	c := blockedCircuit()
-	r := Analyze(c, Options{})
+	r := analyze(t, c, Options{})
 	s001 := r.ByRule(RuleStaticRedundant)
 	if len(s001) == 0 {
 		t.Fatalf("expected S001 findings, report: %v", r.Findings)
@@ -48,8 +48,8 @@ func TestStaticRedundantFinding(t *testing.T) {
 
 func TestStaticPassExtendsConstantUntestables(t *testing.T) {
 	c := stuckCircuit()
-	constOnly := Analyze(c, Options{ImplicationGateLimit: -1}).Untestable()
-	full := Analyze(c, Options{}).Untestable()
+	constOnly := analyze(t, c, Options{ImplicationGateLimit: -1}).Untestable()
+	full := analyze(t, c, Options{}).Untestable()
 	if len(full) <= len(constOnly) {
 		t.Errorf("implication pass found nothing beyond the constant pass: %d vs %d", len(full), len(constOnly))
 	}
@@ -77,7 +77,7 @@ func TestCollapsibleSiteFinding(t *testing.T) {
 	z := b.NotGate("z", g)
 	b.MarkOutput(z)
 	c := b.MustBuild()
-	r := Analyze(c, Options{})
+	r := analyze(t, c, Options{})
 	hit := false
 	for _, f := range r.ByRule(RuleCollapsibleSite) {
 		if f.Name == "g" {
@@ -99,17 +99,17 @@ func TestCollapsibleSiteFinding(t *testing.T) {
 
 func TestStaticPassGateLimit(t *testing.T) {
 	c := blockedCircuit()
-	r := Analyze(c, Options{ImplicationGateLimit: 2}) // below NumGates
+	r := analyze(t, c, Options{ImplicationGateLimit: 2}) // below NumGates
 	if n := len(r.ByRule(RuleStaticRedundant)); n != 0 {
 		t.Errorf("pass must be skipped above the gate limit, got %d S001 findings", n)
 	}
-	if n := len(Analyze(c, Options{ImplicationGateLimit: -1}).ByRule(RuleStaticRedundant)); n != 0 {
+	if n := len(analyze(t, c, Options{ImplicationGateLimit: -1}).ByRule(RuleStaticRedundant)); n != 0 {
 		t.Errorf("negative limit must disable the pass, got %d S001 findings", n)
 	}
 }
 
 func TestStaticPassSilentOnC17(t *testing.T) {
-	r := Analyze(gen.C17(), Options{})
+	r := analyze(t, gen.C17(), Options{})
 	if n := len(r.ByRule(RuleStaticRedundant)); n != 0 {
 		t.Errorf("c17 is fully testable; got %d S001 findings", n)
 	}

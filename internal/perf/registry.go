@@ -2,6 +2,7 @@ package perf
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -112,7 +113,7 @@ func fsimBenchmarks(w workload) []Benchmark {
 				}
 				src := func() pattern.Source { return pattern.NewLFSR(1) }
 				return func() error {
-					_, err := fsim.RunParallel(c, faults, src, workers, opts)
+					_, err := fsim.RunParallel(context.Background(), c, faults, src, workers, opts)
 					return err
 				}, nil, nil
 			},

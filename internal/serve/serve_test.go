@@ -299,6 +299,36 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestLintRequestTimeout pins /v1/lint to the request deadline: its
+// implication pass runs for seconds on the dag:gates=2900,seed=7
+// circuit, so a run that ignored the context would answer 200 long after
+// timeout_ms. The circuit is sent inline because generating it takes
+// most of a second under the race detector, before the deadline starts.
+func TestLintRequestTimeout(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	c, err := cli.Generate("dag:gates=2900,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := canonicalNetlist(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(netlistRequest{Bench: text, Options: json.RawMessage(`{"timeout_ms":100}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	st, _, b := post(t, ts.URL+"/v1/lint", string(body))
+	elapsed := time.Since(start)
+	if st != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d after %v body=%.200s, want 504", st, elapsed, b)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("timeout enforcement took %v", elapsed)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {

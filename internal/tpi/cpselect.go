@@ -48,11 +48,15 @@ type CPOptions struct {
 // points interact through shared fanout cones), so this is a heuristic by
 // design; the 1987 DP applies to the problems in cutdp.go and opdp.go.
 func PlanControlPointsGreedy(c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (*CPPlan, error) {
-	return planControlPointsGreedy(context.Background(), c, faults, k, dth, opts)
+	return PlanControlPointsGreedyContext(context.Background(), c, faults, k, dth, opts)
 }
 
-func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (*CPPlan, error) {
-	done := ctx.Done()
+// PlanControlPointsGreedyContext is PlanControlPointsGreedy under ctx:
+// the context is checked once per hard fault while collecting candidates
+// and once per candidate signal while scoring them (the unit of work
+// that dominates the greedy loop), and the plan is abandoned with
+// ctx.Err() once it is done.
+func PlanControlPointsGreedyContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (*CPPlan, error) {
 	if k < 0 {
 		return nil, ErrBudgetNegative
 	}
@@ -72,13 +76,18 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 		if report != nil {
 			report("control-points", int64(len(points)), int64(k))
 		}
-		candidates := controlCandidates(cur, co, faults, dth, maxCand)
+		candidates, err := controlCandidates(ctx, cur, co, faults, dth, maxCand)
+		if err != nil {
+			return nil, err
+		}
 		bestGain := 0
 		var bestPoint netlist.TestPoint
 		var bestCircuit *netlist.Circuit
 		var bestCOP *testability.COP
 		for _, s := range candidates {
-			pollDone(ctx, done)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			for _, kind := range []netlist.TestPointKind{netlist.Control0, netlist.Control1} {
 				mod, err := cur.InsertTestPoints([]netlist.TestPoint{{Signal: s, Kind: kind}})
 				if err != nil {
@@ -122,12 +131,16 @@ func countCovered(co *testability.COP, faults []fault.Fault, dth float64) int {
 
 // controlCandidates returns candidate control point signals: members of
 // the fanin cones of currently-hard faults, ranked by how extreme their
-// signal probability is, capped at maxCand.
-func controlCandidates(c *netlist.Circuit, co *testability.COP, faults []fault.Fault, dth float64, maxCand int) []int {
+// signal probability is, capped at maxCand. Marking the cones costs a
+// cone walk per hard fault, so ctx is checked once per hard fault.
+func controlCandidates(ctx context.Context, c *netlist.Circuit, co *testability.COP, faults []fault.Fault, dth float64, maxCand int) ([]int, error) {
 	inCone := make(map[int]bool)
 	for _, f := range faults {
 		if co.DetectProb(f) >= dth {
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		for _, g := range c.FaninCone(f.Gate) {
 			inCone[g] = true
@@ -156,5 +169,5 @@ func controlCandidates(c *netlist.Circuit, co *testability.COP, faults []fault.F
 	if len(cand) > maxCand {
 		cand = cand[:maxCand]
 	}
-	return cand
+	return cand, nil
 }

@@ -69,18 +69,21 @@ func UnitCost(int) int { return 1 }
 // computes the minimum number of cuts keeping every segment's test count
 // at or below T.
 func PlanCutsDP(c *netlist.Circuit, k int) (*CutPlan, error) {
-	return PlanCutsDPWithCost(c, k, UnitCost)
+	return PlanCutsDPContext(context.Background(), c, k)
 }
 
-// PlanCutsDPWithCost is PlanCutsDP under a per-signal cost model: the
-// plan's total insertion cost (sum of cost(signal) over cuts) may not
+// PlanCutsDPContext is PlanCutsDP under ctx: the context is checked once
+// per node of each feasibility DP, and the plan is abandoned with
+// ctx.Err() once it is done.
+func PlanCutsDPContext(ctx context.Context, c *netlist.Circuit, k int) (*CutPlan, error) {
+	return PlanCutsDPWithCost(ctx, c, k, UnitCost)
+}
+
+// PlanCutsDPWithCost is PlanCutsDPContext under a per-signal cost model:
+// the plan's total insertion cost (sum of cost(signal) over cuts) may not
 // exceed the budget. The DP's cut dimension simply carries cost instead
 // of count, so optimality is preserved. Costs must be positive.
-func PlanCutsDPWithCost(c *netlist.Circuit, budget int, cost CostFunc) (*CutPlan, error) {
-	return planCutsDPWithCost(context.Background(), c, budget, cost)
-}
-
-func planCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cost CostFunc) (*CutPlan, error) {
+func PlanCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cost CostFunc) (*CutPlan, error) {
 	k := budget
 	if k < 0 {
 		return nil, ErrBudgetNegative
@@ -104,8 +107,11 @@ func planCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cos
 	bestT := hi
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		dp := newCutDP(ctx, c, mid, cost)
-		cuts, ok := dp.solve(k)
+		dp := newCutDP(c, mid, cost)
+		cuts, ok, err := dp.solve(ctx, k)
+		if err != nil {
+			return nil, err
+		}
 		plan.StatesVisited += dp.states
 		if ok {
 			bestT = mid
@@ -151,8 +157,6 @@ type cutDP struct {
 	T      int
 	cost   CostFunc
 	states int64
-	ctx    context.Context
-	done   <-chan struct{}
 	// final[n] is the Pareto state set of node n (open segment rooted at
 	// n); chains[n] stores all partial states created while merging n's
 	// children, referenced by prev indices.
@@ -160,23 +164,25 @@ type cutDP struct {
 	chains [][]cutState
 }
 
-func newCutDP(ctx context.Context, c *netlist.Circuit, T int, cost CostFunc) *cutDP {
+func newCutDP(c *netlist.Circuit, T int, cost CostFunc) *cutDP {
 	return &cutDP{
 		c:      c,
 		T:      T,
 		cost:   cost,
-		ctx:    ctx,
-		done:   ctx.Done(),
 		final:  make([][]cutState, c.NumGates()),
 		chains: make([][]cutState, c.NumGates()),
 	}
 }
 
 // solve returns a cut set achieving every segment cost <= T using at most
-// k cuts, or ok=false if none exists.
-func (dp *cutDP) solve(k int) (cuts []int, ok bool) {
+// k cuts, or ok=false if none exists. It returns ctx.Err() once ctx is
+// done, checked before each node.
+func (dp *cutDP) solve(ctx context.Context, k int) (cuts []int, ok bool, err error) {
 	c := dp.c
 	for _, id := range c.TopoOrder() {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
 		dp.computeNode(id)
 	}
 	// The forest is feasible iff the summed per-root minima fit in k.
@@ -189,12 +195,12 @@ func (dp *cutDP) solve(k int) (cuts []int, ok bool) {
 			}
 		}
 		if best < 0 {
-			return nil, false // root segment cannot meet T at all
+			return nil, false, nil // root segment cannot meet T at all
 		}
 		need += best
 	}
 	if need > k {
-		return nil, false
+		return nil, false, nil
 	}
 	for _, o := range c.Outputs() {
 		bestIdx := -1
@@ -205,12 +211,11 @@ func (dp *cutDP) solve(k int) (cuts []int, ok bool) {
 		}
 		dp.reconstruct(o, int32(bestIdx), &cuts)
 	}
-	return cuts, true
+	return cuts, true, nil
 }
 
 // computeNode fills final[id] from the children's state sets.
 func (dp *cutDP) computeNode(id int) {
-	pollDone(dp.ctx, dp.done)
 	c := dp.c
 	g := c.Gate(id)
 	if g.Type == netlist.Input {

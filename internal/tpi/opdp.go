@@ -199,13 +199,19 @@ type regionDP struct {
 	memo   map[[2]int][]int
 	states int64
 	ctx    context.Context
-	done   <-chan struct{}
+	// done is ctx.Done(), received from without blocking once per state:
+	// cheaper than ctx.Err(), which takes a lock, at the DP's finest grain.
+	done <-chan struct{}
+	// err is the first context error seen by dp; once set, every dp
+	// and knapsack call returns nil so the recursion unwinds.
+	err error
 }
 
 // run returns best[k] = max faults covered in the region using exactly at
-// most k OPs placed inside the region.
-func (r *regionDP) run() []int {
-	return r.dp(r.stem, -1)
+// most k OPs placed inside the region, or ctx's error once it is done.
+func (r *regionDP) run() ([]int, error) {
+	best := r.dp(r.stem, -1)
+	return best, r.err
 }
 
 // phiFor returns the observability factor from node n's output to the
@@ -219,17 +225,27 @@ func (r *regionDP) phiFor(n, anc int) float64 {
 }
 
 // dp returns the budget-indexed best-coverage vector for the subtree
-// rooted at n given the nearest observer at or above n's parent.
+// rooted at n given the nearest observer at or above n's parent. The
+// context is checked once per new state; once it is done dp records
+// the error in r.err and returns nil without memoising anything.
 func (r *regionDP) dp(n, anc int) []int {
 	key := [2]int{n, anc}
 	if v, ok := r.memo[key]; ok {
 		return v
 	}
-	pollDone(r.ctx, r.done)
+	select {
+	case <-r.done:
+		r.err = r.ctx.Err()
+		return nil
+	default:
+	}
 	children := r.m.regionChildren[n]
 	// Option A: no OP at n — faults here see the inherited observer.
 	hereA := r.m.coveredAt(n, r.phiFor(n, anc), r.dth)
 	optA := r.knapsack(children, anc, r.kMax)
+	if optA == nil {
+		return nil
+	}
 	for k := 0; k <= r.kMax; k++ {
 		optA[k] += hereA
 	}
@@ -239,6 +255,9 @@ func (r *regionDP) dp(n, anc int) []int {
 	if r.kMax >= 1 {
 		hereB := r.m.coveredAt(n, 1, r.dth)
 		optB := r.knapsack(children, n, r.kMax-1)
+		if optB == nil {
+			return nil
+		}
 		for k := 1; k <= r.kMax; k++ {
 			if v := optB[k-1] + hereB; v > result[k] {
 				result[k] = v
@@ -258,7 +277,8 @@ func (r *regionDP) dp(n, anc int) []int {
 
 // knapsack combines the children's dp vectors under observer anc into a
 // budget-indexed sum, up to budget limit (entries above limit are filled
-// from limit). The returned slice always has kMax+1 entries.
+// from limit). The returned slice has kMax+1 entries, or is nil when a
+// child's dp was cut short by the context.
 func (r *regionDP) knapsack(children []int, anc, limit int) []int {
 	acc := make([]int, r.kMax+1)
 	if limit < 0 {
@@ -266,6 +286,9 @@ func (r *regionDP) knapsack(children []int, anc, limit int) []int {
 	}
 	for _, ch := range children {
 		chv := r.dp(ch, anc)
+		if chv == nil {
+			return nil
+		}
 		next := make([]int, r.kMax+1)
 		for k := 0; k <= limit; k++ {
 			best := 0
@@ -348,10 +371,13 @@ func (r *regionDP) splitKnapsack(children []int, anc, k int, out *[]int) {
 // allocation of the budget across regions; on fully fanout-free circuits
 // this is the globally optimal placement under the COP model.
 func PlanObservationPointsDP(c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts OPOptions) (*OPPlan, error) {
-	return planObservationPointsDP(context.Background(), c, faults, k, dth, opts)
+	return PlanObservationPointsDPContext(context.Background(), c, faults, k, dth, opts)
 }
 
-func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts OPOptions) (*OPPlan, error) {
+// PlanObservationPointsDPContext is PlanObservationPointsDP under ctx:
+// the context is checked once per tree-DP state, and the plan is
+// abandoned with ctx.Err() once it is done.
+func PlanObservationPointsDPContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts OPOptions) (*OPPlan, error) {
 	if k < 0 {
 		return nil, ErrBudgetNegative
 	}
@@ -386,7 +412,11 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 			report("op-regions", int64(i), int64(len(stems)))
 		}
 		r := &regionDP{m: m, stem: s, kMax: k, dth: dth, memo: make(map[[2]int][]int), ctx: ctx, done: ctx.Done()}
-		tables[i] = r.run()
+		table, err := r.run()
+		if err != nil {
+			return nil, err
+		}
+		tables[i] = table
 		dps[i] = r
 		plan.StatesVisited += r.states
 	}

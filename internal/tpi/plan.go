@@ -52,15 +52,18 @@ func (h *HybridPlan) AllPoints() int {
 // given fault list. The returned plan carries the final modified
 // circuit ready for fault simulation.
 func PlanHybrid(c *netlist.Circuit, faults []fault.Fault, nCP, nOP int, dth float64, cpOpts CPOptions, opOpts OPOptions) (*HybridPlan, error) {
-	return planHybrid(context.Background(), c, faults, nCP, nOP, dth, cpOpts, opOpts)
+	return PlanHybridContext(context.Background(), c, faults, nCP, nOP, dth, cpOpts, opOpts)
 }
 
-func planHybrid(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, nCP, nOP int, dth float64, cpOpts CPOptions, opOpts OPOptions) (*HybridPlan, error) {
+// PlanHybridContext is PlanHybrid under ctx, which reaches the static
+// pre-prune and both planning stages; the plan is abandoned with
+// ctx.Err() once it is done.
+func PlanHybridContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, nCP, nOP int, dth float64, cpOpts CPOptions, opOpts OPOptions) (*HybridPlan, error) {
 	faults, pruned, err := pruneFaults(ctx, c, faults)
 	if err != nil {
 		return nil, err
 	}
-	cp, err := planControlPointsGreedy(ctx, c, faults, nCP, dth, cpOpts)
+	cp, err := PlanControlPointsGreedyContext(ctx, c, faults, nCP, dth, cpOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +71,7 @@ func planHybrid(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, n
 	if err != nil {
 		return nil, err
 	}
-	op, err := planObservationPointsDP(ctx, mid, faults, nOP, dth, opOpts)
+	op, err := PlanObservationPointsDPContext(ctx, mid, faults, nOP, dth, opOpts)
 	if err != nil {
 		return nil, err
 	}

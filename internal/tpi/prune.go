@@ -30,7 +30,8 @@ func uncancelled(kept []fault.Fault, pruned int, _ error) ([]fault.Fault, int) {
 }
 
 // pruneFaults is PruneFaults under ctx: the implication engine build
-// polls it and the prune returns ctx's error once it is done.
+// and the redundancy sweep check it, and the prune returns ctx's error
+// once it is done.
 func pruneFaults(ctx context.Context, c *netlist.Circuit, faults []fault.Fault) ([]fault.Fault, int, error) {
 	if c.NumGates() > pruneGateLimit {
 		return faults, 0, nil
@@ -39,13 +40,20 @@ func pruneFaults(ctx context.Context, c *netlist.Circuit, faults []fault.Fault) 
 	if err != nil {
 		return nil, 0, err
 	}
-	red := e.RedundantSet()
+	red, err := e.Redundant(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
 	if len(red) == 0 {
 		return faults, 0, nil
 	}
+	drop := make(map[fault.Fault]bool, len(red))
+	for _, r := range red {
+		drop[r.F] = true
+	}
 	kept := make([]fault.Fault, 0, len(faults))
 	for _, f := range faults {
-		if !red[f] {
+		if !drop[f] {
 			kept = append(kept, f)
 		}
 	}

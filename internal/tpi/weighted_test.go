@@ -1,6 +1,7 @@
 package tpi
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestWeightedDPMatchesWeightedExhaustive(t *testing.T) {
 		}
 		cost := func(s int) int { return costs[s] }
 		for _, budget := range []int{2, 4, 6} {
-			dp, err := PlanCutsDPWithCost(c, budget, cost)
+			dp, err := PlanCutsDPWithCost(context.Background(), c, budget, cost)
 			if err != nil {
 				t.Fatalf("seed %d budget %d: %v", seed, budget, err)
 			}
@@ -53,7 +54,7 @@ func TestWeightedReducesToUnit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		weighted, err := PlanCutsDPWithCost(c, k, UnitCost)
+		weighted, err := PlanCutsDPWithCost(context.Background(), c, k, UnitCost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestWeightedExpensiveSignalsAvoided(t *testing.T) {
 		}
 		return 1
 	}
-	weighted, err := PlanCutsDPWithCost(c, 1, cost)
+	weighted, err := PlanCutsDPWithCost(context.Background(), c, 1, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +99,10 @@ func TestWeightedExpensiveSignalsAvoided(t *testing.T) {
 
 func TestWeightedRejectsBadCosts(t *testing.T) {
 	c := gen.RandomTree(1, 10, gen.TreeOptions{})
-	if _, err := PlanCutsDPWithCost(c, 3, func(int) int { return 0 }); err == nil {
+	if _, err := PlanCutsDPWithCost(context.Background(), c, 3, func(int) int { return 0 }); err == nil {
 		t.Error("expected error for zero cost")
 	}
-	if _, err := PlanCutsDPWithCost(c, -1, UnitCost); err != ErrBudgetNegative {
+	if _, err := PlanCutsDPWithCost(context.Background(), c, -1, UnitCost); err != ErrBudgetNegative {
 		t.Errorf("expected ErrBudgetNegative, got %v", err)
 	}
 }

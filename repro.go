@@ -145,7 +145,10 @@ const (
 // faults they make untestable), duplicated cones, COP-ranked
 // random-pattern-resistant stems, and the fanout-free / reconvergence
 // structure that decides which planner applies. See cmd/lint for the CLI.
-func Lint(c *Circuit, opts LintOptions) *LintReport { return lint.Analyze(c, opts) }
+func Lint(c *Circuit, opts LintOptions) *LintReport {
+	rep, _ := lint.Analyze(context.Background(), c, opts) // never fails: Background is never done
+	return rep
+}
 
 // ScanDesign is a full-scan design: a combinational core plus scanned
 // flip-flops and a test-time model.
@@ -239,15 +242,11 @@ type SimOptions = fsim.Options
 // SimResult reports a fault simulation run.
 type SimResult = fsim.Result
 
-// Simulate fault-simulates the fault list under the pattern source.
-func Simulate(c *Circuit, faults []Fault, src PatternSource, opts SimOptions) (*SimResult, error) {
-	return fsim.Run(c, faults, src, opts)
-}
-
-// SimulateContext is Simulate with cancellation: the run stops at the
-// next 64-pattern block boundary once ctx is done, returning the partial
-// result over completed blocks alongside ctx.Err().
-func SimulateContext(ctx context.Context, c *Circuit, faults []Fault, src PatternSource, opts SimOptions) (*SimResult, error) {
+// Simulate fault-simulates the fault list under the pattern source. The
+// run stops at the next 64-pattern block boundary once ctx is done,
+// returning the partial result over completed blocks alongside
+// ctx.Err().
+func Simulate(ctx context.Context, c *Circuit, faults []Fault, src PatternSource, opts SimOptions) (*SimResult, error) {
 	return fsim.RunContext(ctx, c, faults, src, opts)
 }
 
@@ -314,7 +313,7 @@ type CostFunc = tpi.CostFunc
 // PlanCutsWeighted is PlanCuts under a per-signal cost model: total
 // insertion cost may not exceed the budget.
 func PlanCutsWeighted(c *Circuit, budget int, cost CostFunc) (*CutPlan, error) {
-	return tpi.PlanCutsDPWithCost(c, budget, cost)
+	return tpi.PlanCutsDPWithCost(context.Background(), c, budget, cost)
 }
 
 // OPPlan is a P2 (observation point / detection threshold) planning
@@ -348,15 +347,9 @@ type HybridPlan = tpi.HybridPlan
 
 // PlanTestPoints runs the full flow: greedy control points then DP
 // observation points; the returned plan carries the modified circuit.
-func PlanTestPoints(c *Circuit, faults []Fault, nCP, nOP int, dth float64) (*HybridPlan, error) {
-	return tpi.PlanHybrid(c, faults, nCP, nOP, dth, tpi.CPOptions{}, tpi.OPOptions{})
-}
-
-// PlanTestPointsContext is PlanTestPoints with cancellation: both the
-// greedy control point stage and the observation point DP poll ctx and
-// abandon planning promptly once it is done (no partial plan is
-// returned).
-func PlanTestPointsContext(ctx context.Context, c *Circuit, faults []Fault, nCP, nOP int, dth float64) (*HybridPlan, error) {
+// Every stage checks ctx and planning is abandoned with ctx.Err() once
+// it is done (no partial plan is returned).
+func PlanTestPoints(ctx context.Context, c *Circuit, faults []Fault, nCP, nOP int, dth float64) (*HybridPlan, error) {
 	return tpi.PlanHybridContext(ctx, c, faults, nCP, nOP, dth, tpi.CPOptions{}, tpi.OPOptions{})
 }
 
@@ -371,19 +364,14 @@ type TestSet = atpg.TestSet
 
 // GenerateTest runs PODEM for a single fault.
 func GenerateTest(c *Circuit, f Fault, opts ATPGOptions) (*ATPGResult, error) {
-	return atpg.Generate(c, f, opts)
+	return atpg.Generate(context.Background(), c, f, opts)
 }
 
 // GenerateTests produces a compacted deterministic test set for the fault
-// list.
-func GenerateTests(c *Circuit, faults []Fault, opts ATPGOptions) (*TestSet, error) {
-	return atpg.GenerateTests(c, faults, opts)
-}
-
-// GenerateTestsContext is GenerateTests with cancellation: the PODEM
-// backtrack loop polls ctx, and on cancellation the partial test set
-// over faults processed so far is returned alongside ctx.Err().
-func GenerateTestsContext(ctx context.Context, c *Circuit, faults []Fault, opts ATPGOptions) (*TestSet, error) {
+// list. The PODEM decision loop checks ctx, and on cancellation the
+// partial test set over faults processed so far is returned alongside
+// ctx.Err().
+func GenerateTests(ctx context.Context, c *Circuit, faults []Fault, opts ATPGOptions) (*TestSet, error) {
 	return atpg.GenerateTestsContext(ctx, c, faults, opts)
 }
 

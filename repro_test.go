@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,15 +12,15 @@ func TestFacadeQuickstart(t *testing.T) {
 	c := AndCone(16)
 	faults := Faults(c)
 
-	before, err := Simulate(c, faults, NewLFSR(1), SimOptions{MaxPatterns: 4096, DropFaults: true})
+	before, err := Simulate(context.Background(), c, faults, NewLFSR(1), SimOptions{MaxPatterns: 4096, DropFaults: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanTestPoints(c, faults, 2, 2, 1.0/512)
+	plan, err := PlanTestPoints(context.Background(), c, faults, 2, 2, 1.0/512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := Simulate(plan.Modified, faults, NewLFSR(1), SimOptions{MaxPatterns: 4096, DropFaults: true})
+	after, err := Simulate(context.Background(), plan.Modified, faults, NewLFSR(1), SimOptions{MaxPatterns: 4096, DropFaults: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func TestFacadeATPGAndTestability(t *testing.T) {
 	if sc.CO[c.Outputs()[0]] != 0 {
 		t.Error("PO observability must be 0")
 	}
-	ts, err := GenerateTests(c, Faults(c), ATPGOptions{})
+	ts, err := GenerateTests(context.Background(), c, Faults(c), ATPGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(c, Faults(c), NewVectors(ts.Vectors), SimOptions{MaxPatterns: 64, DropFaults: true})
+	res, err := Simulate(context.Background(), c, Faults(c), NewVectors(ts.Vectors), SimOptions{MaxPatterns: 64, DropFaults: true})
 	if err != nil {
 		t.Fatal(err)
 	}

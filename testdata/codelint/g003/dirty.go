@@ -36,3 +36,12 @@ func step(ctx context.Context, n int) int {
 		return n
 	}
 }
+
+// Handler returns a run closure that receives a context and never uses
+// it, the way a serve endpoint can drop its request deadline: finding
+// on the literal.
+func Handler(n int) func(context.Context) int {
+	return func(ctx context.Context) int {
+		return n * 3
+	}
+}
