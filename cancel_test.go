@@ -92,7 +92,9 @@ func TestCancellationContract(t *testing.T) {
 // implication build takes about 1 s and its redundancy sweep 0.8 s; the
 // fan-in ladder's dominator fixpoint takes about 0.5 s; the cut DP on
 // the 32,768-leaf tree takes 0.6 s, the observation DP on the 4,000-leaf
-// tree 0.8 s, and the control-point greedy on the 600-gate DAG several
+// tree 0.8 s, the observation DP on c17 with a budget of 16,000 (each
+// knapsack merge is quadratic in the budget) about 3 s, and the
+// control-point greedy on the 600-gate DAG several
 // seconds.
 func cancelRows() []cancelRow {
 	small := gen.RandomDAG(13, 16, 600, gen.DAGOptions{})
@@ -102,6 +104,8 @@ func cancelRows() []cancelRow {
 	cutTree := balancedTree(15)
 	opTree := gen.RandomTree(3, 4000, gen.TreeOptions{})
 	opFaults := fault.CollapsedUniverse(opTree)
+	c17 := gen.C17()
+	c17Faults := fault.CollapsedUniverse(c17)
 	xor := redundantXOR(30)
 	xorFault := fault.Fault{Gate: xor.Outputs()[0], Pin: -1, Stuck: false}
 	ladder := fanInLadder(12000)
@@ -141,6 +145,9 @@ func cancelRows() []cancelRow {
 		}, nil},
 		{"tpi.PlanObservationPointsDPContext", func(ctx context.Context) (any, error) {
 			return tpi.PlanObservationPointsDPContext(ctx, opTree, opFaults, 64, dth, tpi.OPOptions{})
+		}, nil},
+		{"tpi.PlanObservationPointsDPContext/large-budget", func(ctx context.Context) (any, error) {
+			return tpi.PlanObservationPointsDPContext(ctx, c17, c17Faults, 16000, dth, tpi.OPOptions{})
 		}, nil},
 		{"tpi.PlanControlPointsGreedyContext", func(ctx context.Context) (any, error) {
 			return tpi.PlanControlPointsGreedyContext(ctx, small, smallFaults, 32, dth, tpi.CPOptions{MaxCandidates: 512})

@@ -103,7 +103,8 @@ type funcFacts struct {
 
 	// wires are module functions referenced by a call that carries a
 	// "/v1/..." string literal argument — the serve-handler wiring
-	// pattern. The dataflow analyzers treat them as roots (see taint.go).
+	// pattern — or by an endpoint table (see endpointTable). The
+	// dataflow analyzers treat them as roots (see taint.go).
 	wires []callSite
 
 	// fieldReads / fieldFeeds record named-struct field dataflow for the
@@ -201,6 +202,7 @@ func summarize(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts) {
 			}
 		case *ast.RangeStmt:
 			ff.hasLoop = true
+			summarizeEndpointTable(l, info, n, ff)
 		case *ast.Ident:
 			summarizeIdent(l, info, n, stack, ff)
 		case *ast.SelectorExpr:
@@ -299,7 +301,7 @@ func summarizeCall(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts, cal
 	// Serve-handler wiring: a call carrying a "/v1/..." string literal
 	// marks its module-internal callee and every module function passed
 	// as an argument as handler roots for the dataflow rules.
-	if hasServeLiteral(call) {
+	if hasServeLiteral(call) || inEndpointRange(info, stack, call.Pos()) {
 		if callee != nil && callee.Pkg() != nil && isModulePath(l.ModPath, callee.Pkg().Path()) {
 			ff.wires = append(ff.wires, callSite{callee: callee, pos: call.Pos()})
 		}
@@ -518,12 +520,76 @@ func funcValueOf(info *types.Info, e ast.Expr) *types.Func {
 	return nil
 }
 
+// endpointTable returns the map literal a range loop walks when it is an
+// endpoint table: a composite literal, or a package-level variable
+// initialized by one, with "/v1/..." string literal keys. A table
+// declares each endpoint once; the loop that mounts it stands in for
+// one wiring call per entry.
+func endpointTable(info *types.Info, x ast.Expr) *ast.CompositeLit {
+	if id, ok := ast.Unparen(x).(*ast.Ident); ok {
+		if v, ok := info.Uses[id].(*types.Var); ok {
+			for _, in := range info.InitOrder {
+				if len(in.Lhs) == 1 && in.Lhs[0] == v {
+					x = in.Rhs
+				}
+			}
+		}
+	}
+	lit, ok := ast.Unparen(x).(*ast.CompositeLit)
+	if !ok {
+		return nil
+	}
+	for _, e := range lit.Elts {
+		if kv, ok := e.(*ast.KeyValueExpr); ok && isServeLiteral(kv.Key) {
+			return lit
+		}
+	}
+	return nil
+}
+
+// summarizeEndpointTable wires the module functions an endpoint table
+// maps its "/v1/..." keys to, when the range loop walks one.
+func summarizeEndpointTable(l *Loader, info *types.Info, rs *ast.RangeStmt, ff *funcFacts) {
+	lit := endpointTable(info, rs.X)
+	if lit == nil {
+		return
+	}
+	for _, e := range lit.Elts {
+		kv, ok := e.(*ast.KeyValueExpr)
+		if !ok || !isServeLiteral(kv.Key) {
+			continue
+		}
+		if fn := funcValueOf(info, kv.Value); fn != nil &&
+			fn.Pkg() != nil && isModulePath(l.ModPath, fn.Pkg().Path()) {
+			ff.wires = append(ff.wires, callSite{callee: fn, pos: kv.Value.Pos()})
+		}
+	}
+}
+
+// inEndpointRange reports whether pos lies in the body of a range loop
+// over an endpoint table: the calls there mount its entries.
+func inEndpointRange(info *types.Info, stack []ast.Node, pos token.Pos) bool {
+	for _, a := range stack {
+		if rs, ok := a.(*ast.RangeStmt); ok && rs.Body.Pos() <= pos && pos < rs.Body.End() &&
+			endpointTable(info, rs.X) != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// isServeLiteral reports whether e is a string literal starting with
+// "/v1/".
+func isServeLiteral(e ast.Expr) bool {
+	lit, ok := e.(*ast.BasicLit)
+	return ok && lit.Kind == token.STRING && strings.HasPrefix(lit.Value, `"/v1/`)
+}
+
 // hasServeLiteral reports whether any argument is a string literal
 // starting with "/v1/" — the serve endpoint wiring convention.
 func hasServeLiteral(call *ast.CallExpr) bool {
 	for _, a := range call.Args {
-		if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING &&
-			strings.HasPrefix(lit.Value, `"/v1/`) {
+		if isServeLiteral(a) {
 			return true
 		}
 	}

@@ -46,6 +46,30 @@ func TestServeGraphFollowsMethodValueAndDeferredEdges(t *testing.T) {
 	}
 }
 
+// TestEndpointTableWiresServeRoots pins the endpoint-table form of the
+// wiring convention on the real serve package: its endpoint map and the
+// loop that mounts it must make the handler glue and every options
+// decoder a root, as one wiring call per endpoint would.
+func TestEndpointTableWiresServeRoots(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load(filepath.Join("..", "serve"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootNames := make(map[string]bool)
+	for _, ff := range newModuleFacts(l, pkgs).serveFacts().roots {
+		rootNames[ff.fn.Name()] = true
+	}
+	for _, want := range []string{"engineHandler", "parsePlan", "parseFaultsim", "parseATPG", "parseLint"} {
+		if !rootNames[want] {
+			t.Errorf("%s is not a serve root (roots: %v)", want, rootNames)
+		}
+	}
+}
+
 // TestTaintGradesFeeds pins the taint verdicts behind the g011 golden:
 // the Depth and Trace feeds derive from keyed request data, and Boost
 // has no feed at all.

@@ -190,14 +190,6 @@ func (e *Engine) Feasible(l Lit) bool { return e.feas[l] }
 // The slice is nil when l is infeasible and must not be modified.
 func (e *Engine) Implied(l Lit) []Lit { return e.imp[l] }
 
-// ForEachImplied calls fn for every (signal, value) implied by
-// assigning sig to val. Infeasible seeds yield no calls.
-func (e *Engine) ForEachImplied(sig int, val bool, fn func(sig int, val bool)) {
-	for _, l := range e.imp[MkLit(sig, val)] {
-		fn(l.Signal(), l.Val())
-	}
-}
-
 // Implies reports whether assigning `from` implies `to`.
 func (e *Engine) Implies(from, to Lit) bool {
 	list := e.imp[from]

@@ -27,9 +27,6 @@ func (b *Builder) ReserveNames(names ...string) {
 	}
 }
 
-// SetName changes the name of the circuit under construction.
-func (b *Builder) SetName(name string) { b.name = name }
-
 // NumGates returns the number of gates added so far.
 func (b *Builder) NumGates() int { return len(b.gates) }
 

@@ -87,7 +87,7 @@ func (s *Server) submitJob(w http.ResponseWriter, name, key string, body []byte,
 // returned bytes are exactly what the synchronous endpoint would have
 // written, and identical concurrent jobs collapse into one engine run.
 func (s *Server) executeJob(ctx context.Context, spec jobs.Spec) ([]byte, error) {
-	parse, ok := s.parsers[spec.Endpoint]
+	parse, ok := endpoints[spec.Endpoint]
 	if !ok {
 		return nil, fmt.Errorf("serve: job targets unknown endpoint %q", spec.Endpoint)
 	}
@@ -95,39 +95,15 @@ func (s *Server) executeJob(ctx context.Context, spec jobs.Spec) ([]byte, error)
 	if err := json.Unmarshal(spec.Request, &req); err != nil {
 		return nil, fmt.Errorf("serve: decode journaled request: %w", err)
 	}
-	c, err := parseCircuit(&req)
+	// The key is recomputed rather than taken from spec.Key: both come
+	// from the same deterministic derivation, and recomputing keeps a
+	// tampered or stale journal from poisoning the cache under a
+	// mismatched key.
+	call, _, err := prepare(spec.Endpoint, parse, &req)
 	if err != nil {
 		return nil, err
 	}
-	keyOpts, _, run, err := parse(req.Options)
-	if err != nil {
-		return nil, err
-	}
-	canon, err := canonicalNetlist(c)
-	if err != nil {
-		return nil, err
-	}
-	// Recomputed rather than trusting spec.Key: both come from the same
-	// deterministic derivation, and recomputing keeps a tampered or
-	// stale journal from poisoning the cache under a mismatched key.
-	key, err := cacheKey(spec.Endpoint, canon, keyOpts)
-	if err != nil {
-		return nil, err
-	}
-	val, _, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
-		if err := s.pool.Acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.pool.Release()
-		if h := testHookCompute; h != nil {
-			h(spec.Endpoint)
-		}
-		out, err := run(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(out)
-	})
+	val, _, err := s.compute(ctx, call)
 	return val, err
 }
 

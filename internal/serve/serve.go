@@ -67,7 +67,6 @@ type Server struct {
 	cache   *Cache
 	metrics *Metrics
 	jobs    *jobs.Manager
-	parsers map[string]parseFunc
 	start   time.Time
 	// draining is closed by DrainStreams to unblock every live
 	// long-lived stream (the job event subscribers), so a graceful
@@ -100,12 +99,6 @@ func New(cfg Config) (*Server, error) {
 		metrics:  NewMetrics(),
 		start:    time.Now(),
 		draining: make(chan struct{}),
-	}
-	s.parsers = map[string]parseFunc{
-		"/v1/plan":     parsePlan,
-		"/v1/faultsim": parseFaultsim,
-		"/v1/atpg":     parseATPG,
-		"/v1/lint":     parseLint,
 	}
 	m, err := jobs.New(jobs.Config{
 		Dir:        cfg.JobDir,
@@ -145,10 +138,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/plan", s.engineHandler("/v1/plan", parsePlan))
-	mux.HandleFunc("/v1/faultsim", s.engineHandler("/v1/faultsim", parseFaultsim))
-	mux.HandleFunc("/v1/atpg", s.engineHandler("/v1/atpg", parseATPG))
-	mux.HandleFunc("/v1/lint", s.engineHandler("/v1/lint", parseLint))
+	for name, parse := range endpoints {
+		mux.HandleFunc(name, s.engineHandler(name, parse))
+	}
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
@@ -204,6 +196,69 @@ type runFunc func(ctx context.Context, c *netlist.Circuit) (any, error)
 // requested timeout in milliseconds (0 = server default), and the
 // engine runner.
 type parseFunc func(raw json.RawMessage) (keyOpts any, timeoutMS int, run runFunc, err error)
+
+// endpoints is the engine endpoint table: each path with its options
+// decoder. The synchronous handlers and the async job runner both
+// dispatch through it.
+var endpoints = map[string]parseFunc{
+	"/v1/plan":     parsePlan,
+	"/v1/faultsim": parseFaultsim,
+	"/v1/atpg":     parseATPG,
+	"/v1/lint":     parseLint,
+}
+
+// engineCall is one engine invocation derived from a request envelope.
+type engineCall struct {
+	endpoint  string
+	c         *netlist.Circuit
+	key       string
+	run       runFunc
+	timeoutMS int
+}
+
+// prepare derives the engine invocation for a decoded envelope: it
+// materializes the circuit, decodes the endpoint options, and hashes
+// the canonical netlist and options into the cache key. On failure it
+// returns the HTTP status the error maps to.
+func prepare(endpoint string, parse parseFunc, req *netlistRequest) (*engineCall, int, error) {
+	c, err := parseCircuit(req)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	keyOpts, timeoutMS, run, err := parse(req.Options)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("decode options: %w", err)
+	}
+	canon, err := canonicalNetlist(c)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	key, err := cacheKey(endpoint, canon, keyOpts)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	return &engineCall{endpoint: endpoint, c: c, key: key, run: run, timeoutMS: timeoutMS}, 0, nil
+}
+
+// compute answers the call from the single-flight cache, or on a miss
+// runs the engine in a worker slot and caches its JSON encoding. hit
+// reports a cache hit.
+func (s *Server) compute(ctx context.Context, call *engineCall) (val []byte, hit bool, err error) {
+	return s.cache.GetOrCompute(ctx, call.key, func() ([]byte, error) {
+		if err := s.pool.Acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer s.pool.Release()
+		if h := testHookCompute; h != nil {
+			h(call.endpoint)
+		}
+		out, err := call.run(ctx, call.c)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(out)
+	})
+}
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -276,59 +331,28 @@ func (s *Server) engineHandler(name string, parse parseFunc) http.HandlerFunc {
 			writeError(w, status, err.Error())
 			return
 		}
-		c, err := parseCircuit(&req)
+		call, code, err := prepare(name, parse, &req)
 		if err != nil {
-			status = http.StatusBadRequest
-			writeError(w, status, err.Error())
-			return
-		}
-		keyOpts, timeoutMS, run, err := parse(req.Options)
-		if err != nil {
-			status = http.StatusBadRequest
-			writeError(w, status, "decode options: "+err.Error())
-			return
-		}
-		canon, err := canonicalNetlist(c)
-		if err != nil {
-			status = http.StatusInternalServerError
-			writeError(w, status, err.Error())
-			return
-		}
-		key, err := cacheKey(name, canon, keyOpts)
-		if err != nil {
-			status = http.StatusInternalServerError
+			status = code
 			writeError(w, status, err.Error())
 			return
 		}
 
 		if async {
-			status = s.submitJob(w, name, key, body, timeoutMS)
+			status = s.submitJob(w, name, call.key, body, call.timeoutMS)
 			return
 		}
 
 		timeout := s.cfg.RequestTimeout
-		if timeoutMS > 0 {
-			if d := time.Duration(timeoutMS) * time.Millisecond; d < timeout {
+		if call.timeoutMS > 0 {
+			if d := time.Duration(call.timeoutMS) * time.Millisecond; d < timeout {
 				timeout = d
 			}
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 
-		val, hit, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
-			if err := s.pool.Acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.pool.Release()
-			if h := testHookCompute; h != nil {
-				h(name)
-			}
-			out, err := run(ctx, c)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(out)
-		})
+		val, hit, err := s.compute(ctx, call)
 		switch {
 		case err == nil:
 		case errors.Is(err, context.DeadlineExceeded):

@@ -242,12 +242,6 @@ func (co *COP) Controllability(id int) float64 { return co.c1[id] }
 // Observability returns the stem observability of the signal.
 func (co *COP) Observability(id int) float64 { return co.obs[id] }
 
-// BranchObservability returns the observability of input pin `pin` of the
-// gate: the probability a change on that branch reaches a primary output.
-func (co *COP) BranchObservability(gate, pin int) float64 {
-	return co.branchObs[gate][pin]
-}
-
 // DetectProb estimates the detection probability of a stuck-at fault
 // under one random pattern: P(excite) x P(propagate).
 func (co *COP) DetectProb(f fault.Fault) float64 {

@@ -117,6 +117,52 @@ func AnalyzeCuts(c *netlist.Circuit, cuts []int) (*CutAnalysis, error) {
 	return an, nil
 }
 
+// Rule is the Hayes–Friedman recurrence at a gate of the given type: the
+// one place that says which child count sums, which maxes, and whether
+// the output swaps t0 and t1. Fold the children one at a time into the
+// pair (0, 0) with Merge, then map the folded pair to the gate output
+// with Out; Eval does both over a gate's fanins. Inputs (t0 = t1 = 1)
+// and binate gates are outside it.
+type Rule netlist.GateType
+
+// Merge folds one child's counts (c0, c1) into the folded pair (a0, a1).
+// On OR-like gates (OR, NOR) the 1-tests sum and the 0-tests max; on
+// the others (AND, NAND, and the single-input BUF and NOT, where sum
+// and max of one child are both the child) the 0-tests sum and the
+// 1-tests max.
+func (r Rule) Merge(a0, a1, c0, c1 int) (int, int) {
+	switch netlist.GateType(r) {
+	case netlist.Or, netlist.Nor:
+		return max(a0, c0), a1 + c1
+	}
+	return a0 + c0, max(a1, c1)
+}
+
+// Out maps the folded pair to the gate output: inverting gates (NAND,
+// NOR, NOT) exchange the roles of 0- and 1-tests.
+func (r Rule) Out(t0, t1 int) (int, int) {
+	switch netlist.GateType(r) {
+	case netlist.Nand, netlist.Nor, netlist.Not:
+		return t1, t0
+	}
+	return t0, t1
+}
+
+// Eval applies the rule to a gate with the given fanins, reading each
+// fanin's counts from t0/t1, or (1, 1) for a fanin marked in cut: a full
+// test point turns it into a fresh leaf for the logic above.
+func (r Rule) Eval(fanin, t0, t1 []int, cut []bool) (int, int) {
+	var v0, v1 int
+	for _, f := range fanin {
+		if cut[f] {
+			v0, v1 = r.Merge(v0, v1, 1, 1)
+		} else {
+			v0, v1 = r.Merge(v0, v1, t0[f], t1[f])
+		}
+	}
+	return r.Out(v0, v1)
+}
+
 // computeWithCuts runs the recurrences, treating cut signals as fresh
 // leaves for the logic above them. T0/T1 of a cut signal keep the values
 // computed from below (the segment it roots); consumers see (1, 1).
@@ -124,7 +170,7 @@ func computeWithCuts(c *netlist.Circuit, cuts []int) (*Counts, error) {
 	if !c.IsFanoutFree() {
 		return nil, ErrNotFanoutFree
 	}
-	isCut := make(map[int]bool, len(cuts))
+	isCut := make([]bool, c.NumGates())
 	for _, s := range cuts {
 		if s < 0 || s >= c.NumGates() {
 			return nil, fmt.Errorf("testcount: cut signal %d out of range", s)
@@ -136,54 +182,16 @@ func computeWithCuts(c *netlist.Circuit, cuts []int) (*Counts, error) {
 		T0: make([]int, c.NumGates()),
 		T1: make([]int, c.NumGates()),
 	}
-	// childCounts reads the (t0, t1) a consumer sees for fanin f.
-	childCounts := func(f int) (int, int) {
-		if isCut[f] {
-			return 1, 1
-		}
-		return ct.T0[f], ct.T1[f]
-	}
 	for _, id := range c.TopoOrder() {
 		g := c.Gate(id)
 		switch g.Type {
 		case netlist.Input:
 			ct.T0[id], ct.T1[id] = 1, 1
-		case netlist.Buf:
-			ct.T0[id], ct.T1[id] = childCounts(g.Fanin[0])
-		case netlist.Not:
-			t0, t1 := childCounts(g.Fanin[0])
-			ct.T0[id], ct.T1[id] = t1, t0
-		case netlist.And, netlist.Nand:
-			maxT1, sumT0 := 0, 0
-			for _, f := range g.Fanin {
-				t0, t1 := childCounts(f)
-				if t1 > maxT1 {
-					maxT1 = t1
-				}
-				sumT0 += t0
-			}
-			if g.Type == netlist.And {
-				ct.T1[id], ct.T0[id] = maxT1, sumT0
-			} else {
-				ct.T0[id], ct.T1[id] = maxT1, sumT0
-			}
-		case netlist.Or, netlist.Nor:
-			maxT0, sumT1 := 0, 0
-			for _, f := range g.Fanin {
-				t0, t1 := childCounts(f)
-				if t0 > maxT0 {
-					maxT0 = t0
-				}
-				sumT1 += t1
-			}
-			if g.Type == netlist.Or {
-				ct.T0[id], ct.T1[id] = maxT0, sumT1
-			} else {
-				ct.T1[id], ct.T0[id] = maxT0, sumT1
-			}
+			continue
 		case netlist.Xor, netlist.Xnor:
 			return nil, ErrBinateGate
 		}
+		ct.T0[id], ct.T1[id] = Rule(g.Type).Eval(g.Fanin, ct.T0, ct.T1, isCut)
 	}
 	return ct, nil
 }

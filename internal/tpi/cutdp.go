@@ -84,51 +84,73 @@ func PlanCutsDPContext(ctx context.Context, c *netlist.Circuit, k int) (*CutPlan
 // exceed the budget. The DP's cut dimension simply carries cost instead
 // of count, so optimality is preserved. Costs must be positive.
 func PlanCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cost CostFunc) (*CutPlan, error) {
-	k := budget
-	if k < 0 {
-		return nil, ErrBudgetNegative
+	plan, err := newCutPlan(c, budget)
+	if err != nil {
+		return nil, err
 	}
 	for id := 0; id < c.NumGates(); id++ {
 		if cost(id) <= 0 {
 			return nil, fmt.Errorf("tpi: cost of signal %d is %d; costs must be positive", id, cost(id))
 		}
 	}
+	bestT, cuts, err := searchThreshold(plan.BaseCost, budget, func(T int) ([]int, bool, error) {
+		dp := newCutDP(c, T, cost)
+		cuts, ok, err := dp.solve(ctx, budget)
+		plan.StatesVisited += dp.states
+		return cuts, ok, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	plan.MaxCost = bestT
+	// bestT == BaseCost is achieved with zero cuts.
+	if bestT < plan.BaseCost {
+		plan.Cuts = cuts
+		sort.Ints(plan.Cuts)
+	}
+	return plan, nil
+}
+
+// newCutPlan is the P1 planners' shared set-up: it rejects a negative
+// budget and scores the unmodified circuit, which must be fanout-free
+// and unate.
+func newCutPlan(c *netlist.Circuit, k int) (*CutPlan, error) {
+	if k < 0 {
+		return nil, ErrBudgetNegative
+	}
 	base, err := testcount.Compute(c)
 	if err != nil {
 		return nil, err
 	}
-	plan := &CutPlan{BaseCost: base.CircuitTests()}
-	if k == 0 {
-		plan.MaxCost = plan.BaseCost
-		return plan, nil
-	}
-	lo, hi := 2, plan.BaseCost // minimax cost can never drop below 2
+	return &CutPlan{BaseCost: base.CircuitTests()}, nil
+}
+
+// searchThreshold binary-searches the smallest segment test count T in
+// [2, base] (no segment needs fewer than 2 tests) that feasible accepts
+// within a budget of k, and returns it with the cuts feasible found for
+// it. Feasibility is monotone in T. With k == 0, or when no T below
+// base is accepted, it returns base and no cuts, which the unmodified
+// circuit achieves.
+func searchThreshold(base, k int, feasible func(T int) (cuts []int, ok bool, err error)) (int, []int, error) {
+	bestT := base
 	var bestCuts []int
-	bestT := hi
-	for lo <= hi {
+	if k == 0 {
+		return bestT, nil, nil
+	}
+	for lo, hi := 2, base; lo <= hi; {
 		mid := (lo + hi) / 2
-		dp := newCutDP(c, mid, cost)
-		cuts, ok, err := dp.solve(ctx, k)
+		cuts, ok, err := feasible(mid)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		plan.StatesVisited += dp.states
 		if ok {
-			bestT = mid
-			bestCuts = cuts
+			bestT, bestCuts = mid, cuts
 			hi = mid - 1
 		} else {
 			lo = mid + 1
 		}
 	}
-	plan.MaxCost = bestT
-	plan.Cuts = bestCuts
-	sort.Ints(plan.Cuts)
-	// bestT == BaseCost is achieved with zero cuts.
-	if plan.MaxCost == plan.BaseCost {
-		plan.Cuts = nil
-	}
-	return plan, nil
+	return bestT, bestCuts, nil
 }
 
 // cutState is one Pareto point of the DP: using k cuts strictly below the
@@ -223,9 +245,7 @@ func (dp *cutDP) computeNode(id int) {
 		dp.states++
 		return
 	}
-	// Aggregation semantics per gate type: which child count sums and
-	// which maxes, and whether the output swaps t0/t1.
-	sumZero, swap := aggRules(g.Type)
+	rule := testcount.Rule(g.Type)
 	// Identity partial: nothing merged yet.
 	partials := []cutState{{k: 0, t0: 0, t1: 0, prev: -1, choice: -1}}
 	chainBase := 0
@@ -235,14 +255,7 @@ func (dp *cutDP) computeNode(id int) {
 		var next []cutState
 		for pi, p := range partials {
 			for ei, e := range exports {
-				var t0, t1 int
-				if sumZero {
-					t0 = p.t0 + e.t0
-					t1 = maxInt(p.t1, e.t1)
-				} else {
-					t0 = maxInt(p.t0, e.t0)
-					t1 = p.t1 + e.t1
-				}
+				t0, t1 := rule.Merge(p.t0, p.t1, e.t0, e.t1)
 				if t0+t1 > dp.T {
 					continue // monotone upward: never feasible later
 				}
@@ -262,18 +275,13 @@ func (dp *cutDP) computeNode(id int) {
 			break
 		}
 	}
-	// Output transform for inverting gates exchanges the roles of 0- and
-	// 1-tests; the chain indices stay valid because only t values change.
+	// The output transform (a swap on inverting gates) changes only t
+	// values, so the chain indices stay valid.
 	finals := make([]cutState, len(partials))
-	copy(finals, partials)
-	if swap {
-		for i := range finals {
-			finals[i].t0, finals[i].t1 = finals[i].t1, finals[i].t0
-		}
+	for i, p := range partials {
+		p.t0, p.t1 = rule.Out(p.t0, p.t1)
+		finals[i] = p
 	}
-	// NOT/BUF single-child pass-through is handled by aggRules giving
-	// sum-zero semantics over one child with no swap (BUF) or swap (NOT):
-	// sum of one = the child value, max of one = the child value.
 	dp.final[id] = finals
 }
 
@@ -320,27 +328,6 @@ func (dp *cutDP) reconstruct(id int, idx int32, cuts *[]int) {
 	}
 }
 
-// aggRules returns the aggregation orientation for a gate type: sumZero
-// means 0-tests sum and 1-tests max (AND-like); swap means the output
-// exchanges t0/t1 (inverting gates).
-func aggRules(t netlist.GateType) (sumZero, swap bool) {
-	switch t {
-	case netlist.And:
-		return true, false
-	case netlist.Nand:
-		return true, true
-	case netlist.Or:
-		return false, false
-	case netlist.Nor:
-		return false, true
-	case netlist.Buf:
-		return true, false // single child: sum == max == identity
-	case netlist.Not:
-		return true, true
-	}
-	return true, false
-}
-
 // paretoPrune removes dominated states: state a dominates b when
 // a.k <= b.k, a.t0 <= b.t0, a.t1 <= b.t1 (with at least one strict or
 // equal-on-all, keeping one representative).
@@ -374,33 +361,23 @@ func paretoPrune(states []cutState) []cutState {
 	return kept
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // PlanCutsGreedy places up to k cuts one at a time, each time choosing
 // the single signal whose cut most reduces the current minimax segment
 // cost (ties to the lower signal ID). It stops early when no single cut
 // improves the cost. Suboptimal in general — the E2/E8 comparisons
 // quantify the gap against the DP.
 func PlanCutsGreedy(c *netlist.Circuit, k int) (*CutPlan, error) {
-	if k < 0 {
-		return nil, ErrBudgetNegative
-	}
-	base, err := testcount.Compute(c)
+	plan, err := newCutPlan(c, k)
 	if err != nil {
 		return nil, err
 	}
-	plan := &CutPlan{BaseCost: base.CircuitTests()}
+	candidates := internalSignals(c)
 	cur := plan.BaseCost
 	var cuts []int
 	for len(cuts) < k {
 		bestCost, bestSig := cur, -1
-		for id := 0; id < c.NumGates(); id++ {
-			if c.Type(id) == netlist.Input || c.IsOutput(id) || containsInt(cuts, id) {
+		for _, id := range candidates {
+			if containsInt(cuts, id) {
 				continue
 			}
 			an, err := testcount.AnalyzeCuts(c, append(cuts[:len(cuts):len(cuts)], id))
@@ -434,20 +411,12 @@ func PlanCutsExhaustive(c *netlist.Circuit, k int) (*CutPlan, error) {
 // PlanCutsExhaustiveWithCost is the weighted ground truth: every subset
 // whose summed cost fits the budget is evaluated.
 func PlanCutsExhaustiveWithCost(c *netlist.Circuit, k int, cost CostFunc) (*CutPlan, error) {
-	if k < 0 {
-		return nil, ErrBudgetNegative
-	}
-	base, err := testcount.Compute(c)
+	plan, err := newCutPlan(c, k)
 	if err != nil {
 		return nil, err
 	}
-	plan := &CutPlan{BaseCost: base.CircuitTests(), MaxCost: base.CircuitTests()}
-	var candidates []int
-	for id := 0; id < c.NumGates(); id++ {
-		if c.Type(id) != netlist.Input && !c.IsOutput(id) {
-			candidates = append(candidates, id)
-		}
-	}
+	plan.MaxCost = plan.BaseCost
+	candidates := internalSignals(c)
 	cur := make([]int, 0, k)
 	var rec func(start, spent int)
 	rec = func(start, spent int) {
@@ -479,20 +448,11 @@ func PlanCutsExhaustiveWithCost(c *netlist.Circuit, k int, cost CostFunc) (*CutP
 // PlanCutsRandom places k cuts uniformly at random over internal signals,
 // the null-hypothesis baseline.
 func PlanCutsRandom(c *netlist.Circuit, k int, seed int64) (*CutPlan, error) {
-	if k < 0 {
-		return nil, ErrBudgetNegative
-	}
-	base, err := testcount.Compute(c)
+	plan, err := newCutPlan(c, k)
 	if err != nil {
 		return nil, err
 	}
-	plan := &CutPlan{BaseCost: base.CircuitTests()}
-	var candidates []int
-	for id := 0; id < c.NumGates(); id++ {
-		if c.Type(id) != netlist.Input && !c.IsOutput(id) {
-			candidates = append(candidates, id)
-		}
-	}
+	candidates := internalSignals(c)
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
 	if k > len(candidates) {
@@ -506,6 +466,19 @@ func PlanCutsRandom(c *netlist.Circuit, k int, seed int64) (*CutPlan, error) {
 	}
 	plan.MaxCost = an.MaxCost
 	return plan, nil
+}
+
+// internalSignals lists the cut baselines' candidate signals in ID
+// order: every signal that is neither a primary input nor a primary
+// output.
+func internalSignals(c *netlist.Circuit) []int {
+	var ids []int
+	for id := 0; id < c.NumGates(); id++ {
+		if c.Type(id) != netlist.Input && !c.IsOutput(id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 func containsInt(xs []int, v int) bool {

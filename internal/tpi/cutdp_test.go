@@ -8,32 +8,43 @@ import (
 	"repro/internal/testcount"
 )
 
-func TestPlanCutsDPMatchesExhaustive(t *testing.T) {
+// wrapInt maps any fuzzed int into [lo, hi], leaving values already in
+// range unchanged so the seed corpus runs exactly the cases it names.
+func wrapInt(v, lo, hi int) int {
+	n := hi - lo + 1
+	return lo + ((v-lo)%n+n)%n
+}
+
+func FuzzPlanCutsDPMatchesExhaustive(f *testing.F) {
 	// The headline optimality claim: on fanout-free circuits the DP finds
 	// a placement achieving the true minimax optimum for every budget.
 	for seed := int64(0); seed < 12; seed++ {
-		c := gen.RandomTree(seed, 10, gen.TreeOptions{})
 		for k := 1; k <= 3; k++ {
-			dp, err := PlanCutsDP(c, k)
-			if err != nil {
-				t.Fatalf("seed %d k %d: dp: %v", seed, k, err)
-			}
-			ex, err := PlanCutsExhaustive(c, k)
-			if err != nil {
-				t.Fatalf("seed %d k %d: exhaustive: %v", seed, k, err)
-			}
-			if dp.MaxCost != ex.MaxCost {
-				t.Errorf("seed %d k %d: DP cost %d != exhaustive %d (DP cuts %v, EX cuts %v)",
-					seed, k, dp.MaxCost, ex.MaxCost, dp.Cuts, ex.Cuts)
-			}
-			if len(dp.Cuts) > k {
-				t.Errorf("seed %d k %d: DP used %d cuts", seed, k, len(dp.Cuts))
-			}
-			if err := VerifyCutPlan(c, dp); err != nil {
-				t.Errorf("seed %d k %d: %v", seed, k, err)
-			}
+			f.Add(seed, 10, k)
 		}
 	}
+	f.Fuzz(func(t *testing.T, seed int64, leaves, k int) {
+		leaves, k = wrapInt(leaves, 2, 12), wrapInt(k, 1, 4)
+		c := gen.RandomTree(seed, leaves, gen.TreeOptions{})
+		dp, err := PlanCutsDP(c, k)
+		if err != nil {
+			t.Fatalf("seed %d leaves %d k %d: dp: %v", seed, leaves, k, err)
+		}
+		ex, err := PlanCutsExhaustive(c, k)
+		if err != nil {
+			t.Fatalf("seed %d leaves %d k %d: exhaustive: %v", seed, leaves, k, err)
+		}
+		if dp.MaxCost != ex.MaxCost {
+			t.Errorf("seed %d leaves %d k %d: DP cost %d != exhaustive %d (DP cuts %v, EX cuts %v)",
+				seed, leaves, k, dp.MaxCost, ex.MaxCost, dp.Cuts, ex.Cuts)
+		}
+		if len(dp.Cuts) > k {
+			t.Errorf("seed %d leaves %d k %d: DP used %d cuts", seed, leaves, k, len(dp.Cuts))
+		}
+		if err := VerifyCutPlan(c, dp); err != nil {
+			t.Errorf("seed %d leaves %d k %d: %v", seed, leaves, k, err)
+		}
+	})
 }
 
 func TestPlanCutsDPLargerBudgets(t *testing.T) {

@@ -16,34 +16,17 @@ import (
 // price of optimality: the plan is always valid and usually optimal, but
 // can exceed the DP on adversarial trees (quantified in E8).
 func PlanCutsThreshold(c *netlist.Circuit, k int) (*CutPlan, error) {
-	if k < 0 {
-		return nil, ErrBudgetNegative
-	}
-	base, err := testcount.Compute(c)
+	plan, err := newCutPlan(c, k)
 	if err != nil {
 		return nil, err
 	}
-	plan := &CutPlan{BaseCost: base.CircuitTests()}
-	if k == 0 {
-		plan.MaxCost = plan.BaseCost
-		return plan, nil
-	}
-	lo, hi := 2, plan.BaseCost
-	bestT := hi
-	var bestCuts []int
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		cuts, states, ok := thresholdFeasible(c, mid, k)
+	// The greedy pass never fails, so neither does the search.
+	_, cuts, _ := searchThreshold(plan.BaseCost, k, func(T int) ([]int, bool, error) {
+		cuts, states, ok := thresholdFeasible(c, T, k)
 		plan.StatesVisited += states
-		if ok {
-			bestT = mid
-			bestCuts = cuts
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	plan.Cuts = bestCuts
+		return cuts, ok, nil
+	})
+	plan.Cuts = cuts
 	sort.Ints(plan.Cuts)
 	// The greedy pass may over- or under-shoot the threshold's nominal
 	// value; report the actual achieved cost.
@@ -52,10 +35,6 @@ func PlanCutsThreshold(c *netlist.Circuit, k int) (*CutPlan, error) {
 		return nil, err
 	}
 	plan.MaxCost = an.MaxCost
-	if plan.MaxCost > bestT {
-		// Never expected (the pass enforces <= T); stay honest anyway.
-		bestT = plan.MaxCost
-	}
 	if plan.MaxCost >= plan.BaseCost {
 		plan.Cuts = nil
 		plan.MaxCost = plan.BaseCost
@@ -69,42 +48,14 @@ func thresholdFeasible(c *netlist.Circuit, T, k int) (cuts []int, states int64, 
 	t0 := make([]int, c.NumGates())
 	t1 := make([]int, c.NumGates())
 	isCut := make([]bool, c.NumGates())
-	childCounts := func(f int) (int, int) {
-		if isCut[f] {
-			return 1, 1
-		}
-		return t0[f], t1[f]
-	}
 	for _, id := range c.TopoOrder() {
 		g := c.Gate(id)
 		if g.Type == netlist.Input {
 			t0[id], t1[id] = 1, 1
 			continue
 		}
-		sumZero, swap := aggRules(g.Type)
-		eval := func() (int, int) {
-			var a, b int // a sums, b maxes
-			for _, f := range g.Fanin {
-				c0, c1 := childCounts(f)
-				if sumZero {
-					a += c0
-					b = maxInt(b, c1)
-				} else {
-					a += c1
-					b = maxInt(b, c0)
-				}
-			}
-			var v0, v1 int
-			if sumZero {
-				v0, v1 = a, b
-			} else {
-				v1, v0 = a, b
-			}
-			if swap {
-				v0, v1 = v1, v0
-			}
-			return v0, v1
-		}
+		rule := testcount.Rule(g.Type)
+		eval := func() (int, int) { return rule.Eval(g.Fanin, t0, t1, isCut) }
 		v0, v1 := eval()
 		states++
 		// Cut children greedily while over threshold.

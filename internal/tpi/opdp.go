@@ -198,20 +198,9 @@ type regionDP struct {
 	dth    float64
 	memo   map[[2]int][]int
 	states int64
-	ctx    context.Context
-	// done is ctx.Done(), received from without blocking once per state:
-	// cheaper than ctx.Err(), which takes a lock, at the DP's finest grain.
-	done <-chan struct{}
-	// err is the first context error seen by dp; once set, every dp
-	// and knapsack call returns nil so the recursion unwinds.
-	err error
-}
-
-// run returns best[k] = max faults covered in the region using exactly at
-// most k OPs placed inside the region, or ctx's error once it is done.
-func (r *regionDP) run() ([]int, error) {
-	best := r.dp(r.stem, -1)
-	return best, r.err
+	// poll is the plan's context check, shared by every region and the
+	// cross-region allocation.
+	poll *poller
 }
 
 // phiFor returns the observability factor from node n's output to the
@@ -224,20 +213,15 @@ func (r *regionDP) phiFor(n, anc int) float64 {
 	return r.m.pathObs(n, r.stem) * r.m.stemExt[r.stem]
 }
 
-// dp returns the budget-indexed best-coverage vector for the subtree
-// rooted at n given the nearest observer at or above n's parent. The
-// context is checked once per new state; once it is done dp records
-// the error in r.err and returns nil without memoising anything.
+// dp returns the budget-indexed best-coverage vector (kMax+1 entries) for
+// the subtree rooted at n given the nearest observer at or above n's
+// parent. The context is checked in the knapsack merges, which dominate
+// the work; once it is done dp returns nil without memoising anything,
+// and the recursion unwinds.
 func (r *regionDP) dp(n, anc int) []int {
 	key := [2]int{n, anc}
 	if v, ok := r.memo[key]; ok {
 		return v
-	}
-	select {
-	case <-r.done:
-		r.err = r.ctx.Err()
-		return nil
-	default:
 	}
 	children := r.m.regionChildren[n]
 	// Option A: no OP at n — faults here see the inherited observer.
@@ -252,16 +236,14 @@ func (r *regionDP) dp(n, anc int) []int {
 	// Option B: OP at n — faults here observed directly; children inherit
 	// observer n; budget shifted by one.
 	result := optA
-	if r.kMax >= 1 {
-		hereB := r.m.coveredAt(n, 1, r.dth)
-		optB := r.knapsack(children, n, r.kMax-1)
-		if optB == nil {
-			return nil
-		}
-		for k := 1; k <= r.kMax; k++ {
-			if v := optB[k-1] + hereB; v > result[k] {
-				result[k] = v
-			}
+	hereB := r.m.coveredAt(n, 1, r.dth)
+	optB := r.knapsack(children, n, r.kMax-1)
+	if optB == nil {
+		return nil
+	}
+	for k := 1; k <= r.kMax; k++ {
+		if v := optB[k-1] + hereB; v > result[k] {
+			result[k] = v
 		}
 	}
 	// Enforce monotonicity in budget (spending less is always allowed).
@@ -275,55 +257,39 @@ func (r *regionDP) dp(n, anc int) []int {
 	return result
 }
 
-// knapsack combines the children's dp vectors under observer anc into a
-// budget-indexed sum, up to budget limit (entries above limit are filled
-// from limit). The returned slice has kMax+1 entries, or is nil when a
-// child's dp was cut short by the context.
+// knapsack merges the children's dp vectors under observer anc into the
+// best coverage for every budget 0..limit (limit+1 entries), or returns
+// nil once the context is done.
 func (r *regionDP) knapsack(children []int, anc, limit int) []int {
-	acc := make([]int, r.kMax+1)
-	if limit < 0 {
-		return acc
-	}
+	acc := make([]int, limit+1)
 	for _, ch := range children {
 		chv := r.dp(ch, anc)
 		if chv == nil {
 			return nil
 		}
-		next := make([]int, r.kMax+1)
-		for k := 0; k <= limit; k++ {
-			best := 0
-			for j := 0; j <= k; j++ {
-				if v := acc[k-j] + chv[j]; v > best {
-					best = v
-				}
-			}
-			next[k] = best
-		}
-		for k := limit + 1; k <= r.kMax; k++ {
-			next[k] = next[limit]
+		next := make([]int, limit+1)
+		if !maxPlus(r.poll, next, acc, chv, nil) {
+			return nil
 		}
 		acc = next
-	}
-	for k := limit + 1; k <= r.kMax; k++ {
-		acc[k] = acc[limit]
 	}
 	return acc
 }
 
-// reconstruct re-derives an OP placement achieving dp(n, anc)[k].
+// reconstruct re-derives an OP placement achieving dp(n, anc)[k] for a
+// budget k >= 1. It stops early once the context is done.
 func (r *regionDP) reconstruct(n, anc, k int, out *[]int) {
 	children := r.m.regionChildren[n]
-	target := r.dp(n, anc)[k]
 	// Try option B first when it meets the target (placing OPs earlier
 	// tends to put them closer to the faults; either choice is optimal).
-	if k >= 1 {
-		hereB := r.m.coveredAt(n, 1, r.dth)
-		optB := r.knapsack(children, n, r.kMax-1)
-		if optB[k-1]+hereB == target {
-			*out = append(*out, n)
-			r.splitKnapsack(children, n, k-1, out)
-			return
-		}
+	optB := r.knapsack(children, n, r.kMax-1)
+	if optB == nil {
+		return
+	}
+	if optB[k-1]+r.m.coveredAt(n, 1, r.dth) == r.dp(n, anc)[k] {
+		*out = append(*out, n)
+		r.splitKnapsack(children, n, k-1, out)
+		return
 	}
 	r.splitKnapsack(children, anc, k, out)
 }
@@ -331,38 +297,110 @@ func (r *regionDP) reconstruct(n, anc, k int, out *[]int) {
 // splitKnapsack apportions budget k among children consistently with the
 // knapsack optimum under observer anc.
 func (r *regionDP) splitKnapsack(children []int, anc, k int, out *[]int) {
-	if len(children) == 0 || k < 0 {
+	tables := make([][]int, len(children))
+	for i, ch := range children {
+		tables[i] = r.dp(ch, anc)
+	}
+	_, split, ok := allocate(r.poll, tables, k)
+	if !ok {
 		return
 	}
-	// Recompute prefix knapsacks to find a consistent split.
-	prefixes := make([][]int, len(children)+1)
-	prefixes[0] = make([]int, r.kMax+1)
-	for i, ch := range children {
-		chv := r.dp(ch, anc)
-		next := make([]int, r.kMax+1)
-		for kk := 0; kk <= r.kMax; kk++ {
-			best := 0
-			for j := 0; j <= kk; j++ {
-				if v := prefixes[i][kk-j] + chv[j]; v > best {
-					best = v
-				}
-			}
-			next[kk] = best
-		}
-		prefixes[i+1] = next
-	}
-	remaining := k
-	for i := len(children) - 1; i >= 0; i-- {
-		ch := children[i]
-		chv := r.dp(ch, anc)
-		for j := 0; j <= remaining; j++ {
-			if prefixes[i][remaining-j]+chv[j] == prefixes[i+1][remaining] {
-				r.reconstruct(ch, anc, j, out)
-				remaining -= j
-				break
-			}
+	for i, j := range split {
+		if j > 0 {
+			r.reconstruct(children[i], anc, j, out)
 		}
 	}
+}
+
+// pollWork is how many units of work (one unit is roughly one max-plus
+// step) pass between two context checks: a few microseconds, so a
+// cancel is seen promptly even inside one O(k²) merge at a large budget,
+// while a small budget does not pay a check per row.
+const pollWork = 1 << 12
+
+// poller is a context check spread over work. Its first tick checks at
+// once, and once the context is done every tick reports it.
+type poller struct {
+	ctx  context.Context
+	left int
+	err  error // the first context error seen
+}
+
+// tick counts n units of work and reports whether the context is done,
+// checking it once every pollWork units.
+func (p *poller) tick(n int) bool {
+	if p.left -= n; p.left > 0 {
+		return false
+	}
+	return p.check()
+}
+
+func (p *poller) check() bool {
+	if p.err == nil {
+		if p.err = p.ctx.Err(); p.err == nil {
+			p.left = pollWork
+		}
+	}
+	return p.err != nil
+}
+
+// maxPlus merges two budget-indexed gain tables (entries >= 0, at least
+// len(out) of each) by max-plus convolution: out[k] = max over j <= k of
+// a[k-j] + b[j]. When choice is not nil, choice[k] is the smallest j
+// that reaches out[k]. Row k counts as k+1 units of work toward p;
+// maxPlus returns false, leaving out partly filled, once p's context is
+// done.
+func maxPlus(p *poller, out, a, b, choice []int) bool {
+	for k := range out {
+		best, bestJ := 0, 0
+		for j := 0; j <= k; j++ {
+			if v := a[k-j] + b[j]; v > best {
+				best, bestJ = v, j
+			}
+		}
+		out[k] = best
+		if choice != nil {
+			choice[k] = bestJ
+		}
+		if p.tick(k + 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// allocate splits budget k across items whose gain tables (at least k+1
+// entries each) are tables: the knapsack over max-plus merges. It
+// returns the best total gain and each item's share; walking from the
+// last item back, each takes the smallest share that keeps the optimum.
+// ok is false once p's context is done.
+func allocate(p *poller, tables [][]int, k int) (best int, split []int, ok bool) {
+	acc := make([]int, k+1)
+	choice := make([][]int, len(tables))
+	for i, t := range tables {
+		next := make([]int, k+1)
+		choice[i] = make([]int, k+1)
+		if !maxPlus(p, next, acc, t, choice[i]) {
+			return 0, nil, false
+		}
+		acc = next
+	}
+	split = make([]int, len(tables))
+	for i, rem := len(tables)-1, k; i >= 0; i-- {
+		split[i] = choice[i][rem]
+		rem -= split[i]
+	}
+	return acc[k], split, true
+}
+
+// newOPPlan is the P2 planners' shared set-up: it rejects a negative
+// budget, builds the coverage model and scores the unmodified circuit.
+func newOPPlan(c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts OPOptions) (*opModel, *OPPlan, error) {
+	if k < 0 {
+		return nil, nil, ErrBudgetNegative
+	}
+	m := newOPModel(c, faults, opts)
+	return m, &OPPlan{TotalFaults: len(faults), CoveredBefore: m.coveredCount(nil, dth)}, nil
 }
 
 // PlanObservationPointsDP selects at most k observation points maximising
@@ -375,16 +413,13 @@ func PlanObservationPointsDP(c *netlist.Circuit, faults []fault.Fault, k int, dt
 }
 
 // PlanObservationPointsDPContext is PlanObservationPointsDP under ctx:
-// the context is checked once per tree-DP state, and the plan is
-// abandoned with ctx.Err() once it is done.
+// the context is checked every few microseconds of tree-DP, knapsack
+// and reconstruction work, and the plan is abandoned with ctx.Err() once
+// it is done.
 func PlanObservationPointsDPContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts OPOptions) (*OPPlan, error) {
-	if k < 0 {
-		return nil, ErrBudgetNegative
-	}
-	m := newOPModel(c, faults, opts)
-	plan := &OPPlan{
-		TotalFaults:   len(faults),
-		CoveredBefore: m.coveredCount(nil, dth),
+	m, plan, err := newOPPlan(c, faults, k, dth, opts)
+	if err != nil {
+		return nil, err
 	}
 	if k == 0 {
 		plan.CoveredAfter = plan.CoveredBefore
@@ -405,48 +440,33 @@ func PlanObservationPointsDPContext(ctx context.Context, c *netlist.Circuit, fau
 	}
 	sort.Ints(stems)
 	report := progress.FromContext(ctx)
+	poll := &poller{ctx: ctx}
 	dps := make([]*regionDP, len(stems))
 	tables := make([][]int, len(stems))
 	for i, s := range stems {
 		if report != nil {
 			report("op-regions", int64(i), int64(len(stems)))
 		}
-		r := &regionDP{m: m, stem: s, kMax: k, dth: dth, memo: make(map[[2]int][]int), ctx: ctx, done: ctx.Done()}
-		table, err := r.run()
-		if err != nil {
-			return nil, err
+		r := &regionDP{m: m, stem: s, kMax: k, dth: dth, memo: make(map[[2]int][]int), poll: poll}
+		if tables[i] = r.dp(s, -1); tables[i] == nil {
+			return nil, poll.err
 		}
-		tables[i] = table
 		dps[i] = r
 		plan.StatesVisited += r.states
 	}
-	// Knapsack across regions.
-	acc := make([]int, k+1)
-	choice := make([][]int, len(stems)) // choice[i][k] = budget given to region i
-	prev := make([]int, k+1)
-	for i := range stems {
-		choice[i] = make([]int, k+1)
-		copy(prev, acc)
-		for kk := 0; kk <= k; kk++ {
-			best, bestJ := 0, 0
-			for j := 0; j <= kk; j++ {
-				if v := prev[kk-j] + tables[i][j]; v > best {
-					best, bestJ = v, j
-				}
-			}
-			acc[kk] = best
-			choice[i][kk] = bestJ
-		}
+	// Knapsack across regions, then each region places its share.
+	covered, split, ok := allocate(poll, tables, k)
+	if !ok {
+		return nil, poll.err
 	}
-	plan.CoveredAfter = acc[k]
-	// Reconstruct: walk regions backwards apportioning the budget.
-	remaining := k
-	for i := len(stems) - 1; i >= 0; i-- {
-		j := choice[i][remaining]
+	plan.CoveredAfter = covered
+	for i, j := range split {
 		if j > 0 {
 			dps[i].reconstruct(stems[i], -1, j, &plan.Points)
 		}
-		remaining -= j
+	}
+	if poll.err != nil {
+		return nil, poll.err
 	}
 	sort.Ints(plan.Points)
 	// Model self-check: the reconstruction must achieve the DP value.
@@ -461,13 +481,9 @@ func PlanObservationPointsDPContext(ctx context.Context, c *netlist.Circuit, fau
 // the signal covering the most still-uncovered faults under the same
 // model. The E4/E8 comparisons quantify its gap against the DP.
 func PlanObservationPointsGreedy(c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts OPOptions) (*OPPlan, error) {
-	if k < 0 {
-		return nil, ErrBudgetNegative
-	}
-	m := newOPModel(c, faults, opts)
-	plan := &OPPlan{
-		TotalFaults:   len(faults),
-		CoveredBefore: m.coveredCount(nil, dth),
+	m, plan, err := newOPPlan(c, faults, k, dth, opts)
+	if err != nil {
+		return nil, err
 	}
 	covered := plan.CoveredBefore
 	var ops []int
@@ -497,13 +513,9 @@ func PlanObservationPointsGreedy(c *netlist.Circuit, faults []fault.Fault, k int
 // PlanObservationPointsExhaustive tries every subset of at most k signals
 // under the same model. Ground truth for small circuits.
 func PlanObservationPointsExhaustive(c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts OPOptions) (*OPPlan, error) {
-	if k < 0 {
-		return nil, ErrBudgetNegative
-	}
-	m := newOPModel(c, faults, opts)
-	plan := &OPPlan{
-		TotalFaults:   len(faults),
-		CoveredBefore: m.coveredCount(nil, dth),
+	m, plan, err := newOPPlan(c, faults, k, dth, opts)
+	if err != nil {
+		return nil, err
 	}
 	plan.CoveredAfter = plan.CoveredBefore
 	n := c.NumGates()
@@ -533,13 +545,9 @@ func PlanObservationPointsExhaustive(c *netlist.Circuit, faults []fault.Fault, k
 
 // PlanObservationPointsRandom places k OPs uniformly at random.
 func PlanObservationPointsRandom(c *netlist.Circuit, faults []fault.Fault, k int, dth float64, seed int64, opts OPOptions) (*OPPlan, error) {
-	if k < 0 {
-		return nil, ErrBudgetNegative
-	}
-	m := newOPModel(c, faults, opts)
-	plan := &OPPlan{
-		TotalFaults:   len(faults),
-		CoveredBefore: m.coveredCount(nil, dth),
+	m, plan, err := newOPPlan(c, faults, k, dth, opts)
+	if err != nil {
+		return nil, err
 	}
 	perm := rand.New(rand.NewSource(seed)).Perm(c.NumGates())
 	if k > len(perm) {

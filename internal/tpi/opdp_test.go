@@ -10,32 +10,39 @@ import (
 	"repro/internal/pattern"
 )
 
-func TestOPDPMatchesExhaustiveOnTrees(t *testing.T) {
+func FuzzOPDPMatchesExhaustiveOnTrees(f *testing.F) {
 	// On fanout-free circuits the per-region tree DP plus knapsack is a
 	// globally optimal placement under the coverage model.
 	for seed := int64(0); seed < 8; seed++ {
-		c := gen.RandomTree(seed, 9, gen.TreeOptions{})
-		faults := fault.CollapsedUniverse(c)
 		for _, k := range []int{1, 2} {
 			for _, dth := range []float64{0.05, 0.15, 0.3} {
-				dp, err := PlanObservationPointsDP(c, faults, k, dth, OPOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ex, err := PlanObservationPointsExhaustive(c, faults, k, dth, OPOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dp.CoveredAfter != ex.CoveredAfter {
-					t.Errorf("seed %d k %d dth %.2f: DP covers %d, exhaustive %d (DP %v, EX %v)",
-						seed, k, dth, dp.CoveredAfter, ex.CoveredAfter, dp.Points, ex.Points)
-				}
-				if len(dp.Points) > k {
-					t.Errorf("budget exceeded: %v", dp.Points)
-				}
+				f.Add(seed, 9, k, dth)
 			}
 		}
 	}
+	f.Fuzz(func(t *testing.T, seed int64, leaves, k int, dth float64) {
+		if !(dth > 0 && dth <= 1) {
+			t.Skip("dth outside (0, 1]")
+		}
+		leaves, k = wrapInt(leaves, 2, 12), wrapInt(k, 1, 3)
+		c := gen.RandomTree(seed, leaves, gen.TreeOptions{})
+		faults := fault.CollapsedUniverse(c)
+		dp, err := PlanObservationPointsDP(c, faults, k, dth, OPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := PlanObservationPointsExhaustive(c, faults, k, dth, OPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dp.CoveredAfter != ex.CoveredAfter {
+			t.Errorf("seed %d leaves %d k %d dth %g: DP covers %d, exhaustive %d (DP %v, EX %v)",
+				seed, leaves, k, dth, dp.CoveredAfter, ex.CoveredAfter, dp.Points, ex.Points)
+		}
+		if len(dp.Points) > k {
+			t.Errorf("budget exceeded: %v", dp.Points)
+		}
+	})
 }
 
 func TestOPDPMatchesExhaustiveOnReconvergent(t *testing.T) {
